@@ -19,7 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import Disconnected, InvalidSource, TooLarge
+from .errors import (
+    CertificationFailed,
+    Disconnected,
+    InvalidSource,
+    MalformedPlan,
+    TooLarge,
+    TooSmall,
+    certify,
+)
 from .graph import Graph
 
 DEFAULT_EXACT_LIMIT = 64
@@ -61,9 +69,20 @@ class ModifiedSchedule:
         return {"preburn": list(self.preburn), "sources": list(self.sources)}
 
 
+def _json_ids(value, key: str) -> tuple[int, ...]:
+    """A JSON list of vertex ids; bools are not ids."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise MalformedPlan(f'"{key}" must be a list of integer vertex ids')
+    return tuple(value)
+
+
 def schedule_from_json_dict(d: dict) -> BurningSchedule | ModifiedSchedule:
-    sources = tuple(d["sources"])
-    preburn = tuple(d.get("preburn", ()))
+    """Strict inverse of to_json_dict: "sources" is required, "preburn"
+    optional, and both hold integer ids only."""
+    if not isinstance(d, dict) or "sources" not in d:
+        raise MalformedPlan('plan needs a "sources" list')
+    sources = _json_ids(d["sources"], "sources")
+    preburn = _json_ids(d.get("preburn", []), "preburn")
     if preburn:
         return ModifiedSchedule(preburn=preburn, sources=sources)
     return BurningSchedule(sources=sources)
@@ -145,10 +164,16 @@ def closed_form_rounds(g: Graph, m: ModifiedSchedule) -> BurnMap:
     return BurnMap(rounds=tuple(int(b) if b <= k else None for b in best))
 
 
-def _balls_by_radius(g: Graph, max_radius: int) -> list[list[int]]:
-    """balls[r][v] = bitmask of vertices within distance r of v."""
-    balls = [[1 << v for v in range(g.n)]]
-    for _ in range(max_radius):
+def _balls_by_radius(
+    g: Graph, max_radius: int, balls: list[list[int]], maxcov: list[int]
+) -> None:
+    """Grow balls and maxcov in place to radii 0..max_radius: balls[r][v] is
+    the bitmask of vertices within distance r of v, maxcov[r] the largest
+    ball of radius r."""
+    if not balls:
+        balls.append([1 << v for v in range(g.n)])
+        maxcov.append(1)
+    while len(balls) <= max_radius:
         prev = balls[-1]
         layer = []
         for v in range(g.n):
@@ -157,16 +182,24 @@ def _balls_by_radius(g: Graph, max_radius: int) -> list[list[int]]:
                 mask |= prev[w]
             layer.append(mask)
         balls.append(layer)
-    return balls
+        maxcov.append(max(mask.bit_count() for mask in layer))
 
 
 def _search_depth(
-    g: Graph, k: int, initial: int, balls: list[list[int]]
+    g: Graph,
+    k: int,
+    preburn: tuple[int, ...],
+    balls: list[list[int]],
+    maxcov: list[int],
 ) -> tuple[int, ...] | None:
     """First (lexicographically smallest) source list of length k whose balls,
-    together with the initial coverage, cover all vertices. None if none."""
+    together with the preburn set's radius-(k-1) balls, cover all vertices.
+    None if none. Grows the shared ball layers to radius k-1 first."""
+    _balls_by_radius(g, k - 1, balls, maxcov)
     full = (1 << g.n) - 1
-    maxcov = [max(mask.bit_count() for mask in layer) for layer in balls]
+    initial = 0
+    for v in preburn:
+        initial |= balls[k - 1][v]
     # remaining_cap[i] = best-case coverage of positions i+1..k
     remaining_cap = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -217,17 +250,21 @@ def _modified_exact(
 ) -> tuple[int, ModifiedSchedule]:
     if g.n > limit:
         raise TooLarge(f"n={g.n} exceeds exact-solver limit {limit}")
+    if g.n == 0:
+        raise TooSmall("burning needs a graph with at least one vertex")
     if not g.is_connected():
         raise Disconnected("exact solver requires a connected graph")
-    balls = _balls_by_radius(g, g.n)
+    # one set of ball layers, grown a radius per depth k
+    balls: list[list[int]] = []
+    maxcov: list[int] = []
     for k in range(1, g.n + 1):
-        initial = 0
-        for v in preburn:
-            initial |= balls[k - 1][v]
-        witness = _search_depth(g, k, initial, balls)
+        witness = _search_depth(g, k, preburn, balls, maxcov)
         if witness is not None:
             found = ModifiedSchedule(preburn=preburn, sources=witness)
             bm = simulate_modified(g, found)
-            assert is_complete(bm) and bm.completion <= k
+            certify(
+                is_complete(bm) and bm.completion <= k,
+                "exact witness must burn the graph within k rounds",
+            )
             return k, found
-    raise AssertionError("k = n always burns a connected graph")
+    raise CertificationFailed("k = n always burns a connected graph")

@@ -5,6 +5,7 @@ plans as JSON. Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from .burning import (
     simulate_modified,
     ModifiedSchedule,
 )
-from .errors import BurnkitError
+from .errors import BurnkitError, MalformedPlan
 from .generators import generate
 from .graph import Graph, Tree, format_edge_list, parse_edge_list
 from .hit import hit_schedule, tree_schedule_via_augmentation
@@ -40,7 +41,10 @@ def _parse_ids(text: str) -> tuple[int, ...]:
         raise BurnkitError(f"bad id list {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call and reused for the rest of
+    the process."""
     parser = argparse.ArgumentParser(
         prog="burnkit",
         description="Graph-burning schedules, exact solver, and HIT bounds.",
@@ -179,6 +183,8 @@ def _cmd_verify(args) -> int:
     bm = simulate_modified(g, sched)
     ok = is_complete(bm)
     bound = plan.get("bound")
+    if bound is not None and type(bound) is not int:
+        raise MalformedPlan('"bound" must be an integer')
     if bound is not None and len(sched.sources) > bound:
         ok = False
     print(json.dumps({"valid": ok, "burn_map": bm.to_json_dict()}))

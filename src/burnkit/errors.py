@@ -42,7 +42,8 @@ class TooMany(BurnkitError):
 
 
 class TooSmall(BurnkitError):
-    """Anchor search requires at least 6 vertices."""
+    """Instance below an operation's minimum size: anchor search needs 6
+    vertices, burning needs 1."""
 
 
 class NotAHIT(BurnkitError):
@@ -63,3 +64,18 @@ class ProjectionVerificationFailed(BurnkitError):
 
 class BadParams(BurnkitError):
     """Generator parameters invalid for the requested family."""
+
+
+class MalformedPlan(BurnkitError):
+    """Schedule or plan JSON that does not match the expected shape."""
+
+
+class CertificationFailed(BurnkitError):
+    """A certified result failed its own check; indicates an implementation bug."""
+
+
+def certify(cond: bool, msg: str) -> None:
+    """Raise CertificationFailed unless cond holds. Unlike assert, this check
+    stays in place under python -O."""
+    if not cond:
+        raise CertificationFailed(msg)

@@ -2,13 +2,15 @@
 
 Random labeled trees are drawn uniformly by decoding a random Prufer word;
 random HITs come from augmenting a random tree with one leaf per degree-2
-vertex, re-drawing the base size until the augmented order hits the target.
+vertex, re-drawing the base size and word until the augmented order hits the
+target.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 
 from .errors import BadParams
 from .graph import Graph, Tree, build_graph, build_tree
@@ -86,8 +88,11 @@ def random_tree(n: int, seed: int) -> Tree:
 
 
 def _random_tree(n: int, rng: random.Random) -> Tree:
-    word = [rng.randrange(n) for _ in range(max(0, n - 2))]
-    return prufer_decode(word, n)
+    return prufer_decode(_random_word(n, rng), n)
+
+
+def _random_word(n: int, rng: random.Random) -> list[int]:
+    return [rng.randrange(n) for _ in range(max(0, n - 2))]
 
 
 def random_hit(n: int, seed: int) -> Tree:
@@ -103,9 +108,12 @@ def random_hit(n: int, seed: int) -> Tree:
     lo = max(2, (n + 3) // 2)  # base m with m + d = n needs m >= (n + 2) / 2
     for _ in range(MAX_HIT_DRAWS):
         m = rng.randint(lo, n)
-        base = _random_tree(m, rng)
-        augmented, _ = augment_degree2(base)
-        if augmented.n == n:
+        word = _random_word(m, rng)
+        # the degree-2 vertices of the decoded tree are the ids that appear
+        # exactly once in its Prufer word; decode only a draw that hits n
+        d = sum(1 for c in Counter(word).values() if c == 1)
+        if m + d == n:
+            augmented, _ = augment_degree2(prufer_decode(word, m))
             return augmented
     raise BadParams(f"could not hit target HIT size {n}")
 

@@ -23,11 +23,13 @@ from .burning import (
 )
 from .errors import (
     BaseScheduleIncomplete,
+    CertificationFailed,
     LiftVerificationFailed,
     NotAHIT,
     NotDegreeTwo,
     ProjectionVerificationFailed,
     TooSmall,
+    certify,
 )
 from .graph import Tree, bridge_component, build_tree, is_hit, smooth
 
@@ -103,11 +105,14 @@ def find_anchor(t: Tree) -> Anchor:
                 side_sizes=side_sizes,
                 threshold=tau,
             )
-            assert anchor.heavy_size >= tau
-            assert all(s < tau for s in anchor.light_sizes)
+            certify(anchor.heavy_size >= tau, "anchor's heavy side must reach tau")
+            certify(
+                all(s < tau for s in anchor.light_sizes),
+                "anchor's light sides must stay below tau",
+            )
             return anchor
         x, came_from = min(heavy), x
-    raise AssertionError("anchor walk failed to terminate within n steps")
+    raise CertificationFailed("anchor walk failed to terminate within n steps")
 
 
 def lift_schedule(t: Tree, v: int, s: BurningSchedule) -> ModifiedSchedule:
@@ -142,9 +147,12 @@ class CertifiedPlan:
     burn_map: BurnMap
 
     def __post_init__(self) -> None:
-        assert len(self.schedule) <= self.bound
-        assert is_complete(self.burn_map)
-        assert self.burn_map.completion <= len(self.schedule)
+        certify(len(self.schedule) <= self.bound, "plan must fit its bound")
+        certify(is_complete(self.burn_map), "plan's burn map must be complete")
+        certify(
+            self.burn_map.completion <= len(self.schedule),
+            "plan's burn map must complete by its last round",
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,11 +209,17 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
         x_side = bridge_component(t, x, y)
         y_side = bridge_component(t, y, x)
         # recursion measure from the anchor's heavy-side guarantee
-        assert y_side.size <= n - 2 * bound + 1 <= (bound - 1) ** 2
-        assert max(
-            d for v, d in enumerate(t.graph.distances_from(x))
-            if v in set(x_side.vertices)
-        ) <= bound - 1
+        certify(
+            y_side.size <= n - 2 * bound + 1 <= (bound - 1) ** 2,
+            "heavy side must fit the recursion measure",
+        )
+        certify(
+            max(
+                d for v, d in enumerate(t.graph.distances_from(x))
+                if v in set(x_side.vertices)
+            ) <= bound - 1,
+            "anchor side must burn from x within the bound",
+        )
         sub, idmap = _subtree(t, y_side.vertices)
         msched = _modified_subschedule(sub, idmap[y])
         back = {new: old for old, new in idmap.items()}
@@ -216,7 +230,7 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
             sources = sources + (x,)
     schedule = BurningSchedule(sources=sources)
     bm = simulate(t.graph, schedule)
-    assert is_complete(bm), "construction must burn the whole tree"
+    certify(is_complete(bm), "construction must burn the whole tree")
     return CertifiedPlan(schedule=schedule, bound=bound, burn_map=bm)
 
 

@@ -6,11 +6,19 @@ tree (HIST) with the resulting ceil(sqrt(n)) plan.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .burning import BurningSchedule, DEFAULT_EXACT_LIMIT, burning_number_exact, is_complete, simulate
-from .errors import Disconnected, TooLarge, TooMany
+from .burning import (
+    BurningSchedule,
+    DEFAULT_EXACT_LIMIT,
+    _search_depth,
+    burning_number_exact,
+    is_complete,
+    simulate,
+)
+from .errors import CertificationFailed, Disconnected, TooLarge, TooMany, certify
 from .graph import Graph, Tree, build_tree
 from .hit import CertifiedPlan, hit_schedule, is_hit, sqrt_ceil
 
@@ -125,18 +133,27 @@ def burning_number_via_spanning_trees(
 ) -> tuple[int, Tree, BurningSchedule]:
     """min over spanning trees T of b(T); equals b(g).
 
-    Witness: the first enumerated tree attaining the minimum, with its
-    lexicographically smallest optimal schedule.
+    Solves g once for b(g), then tests the enumerated trees in order, each
+    only at depth b(g), and stops at the first that burns in b(g) rounds.
+    Since b(T) >= b(g) for every spanning tree T and some T attains b(g),
+    that is the first enumerated tree attaining the minimum; the witness is
+    its lexicographically smallest optimal schedule.
     """
-    best: tuple[int, Tree, BurningSchedule] | None = None
-    for tree in enumerate_spanning_trees(g, limit=tree_limit):
-        k, sched = burning_number_exact(tree.graph, limit=exact_limit)
-        if best is None or k < best[0]:
-            best = (k, tree, sched)
-        if best[0] == 1:
-            break
-    assert best is not None
-    return best
+    trees = enumerate_spanning_trees(g, limit=tree_limit)
+    # Disconnected and TooMany come from the enumeration, before any solve
+    first = next(trees, None)
+    target, _ = burning_number_exact(g, limit=exact_limit)
+    for tree in itertools.chain((first,), trees):
+        witness = _search_depth(tree.graph, target, (), [], [])
+        if witness is not None:
+            sched = BurningSchedule(sources=witness)
+            bm = simulate(tree.graph, sched)
+            certify(
+                is_complete(bm) and bm.completion <= target,
+                "spanning-tree witness must burn the tree in b(g) rounds",
+            )
+            return target, tree, sched
+    raise CertificationFailed(f"no spanning tree burns in b(g) = {target} rounds")
 
 
 @dataclass(frozen=True)
@@ -208,7 +225,7 @@ def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
     tree = rec(0, [], _DSU(g.n))
     if tree is None:
         return HistResult(found=False, tree=None, nodes_expanded=nodes)
-    assert is_hit(tree)
+    certify(is_hit(tree), "HIST search must return a HIT")
     return HistResult(found=True, tree=tree, nodes_expanded=nodes)
 
 
@@ -218,8 +235,8 @@ def hist_bound(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> CertifiedPlan | Non
     result = find_hist(g, limit=limit)
     if not result.found:
         return None
-    assert result.tree is not None
+    certify(result.tree is not None, "a found HIST must carry its tree")
     plan = hit_schedule(result.tree)
     bm = simulate(g, plan.schedule)
-    assert is_complete(bm), "burning a graph is at least as fast as its HIST"
+    certify(is_complete(bm), "burning a graph is at least as fast as its HIST")
     return CertifiedPlan(schedule=plan.schedule, bound=sqrt_ceil(g.n), burn_map=bm)

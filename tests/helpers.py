@@ -19,8 +19,11 @@ from burnkit import (
     Graph,
     ModifiedSchedule,
     Tree,
+    augment_degree2,
     build_graph,
     build_tree,
+    burning_number_exact,
+    enumerate_spanning_trees,
     is_complete,
     simulate,
     simulate_modified,
@@ -109,6 +112,46 @@ def random_hit_rng(n: int, rng: random.Random) -> Tree:
     from burnkit.generators import random_hit
 
     return random_hit(n, seed=rng.randrange(2**32))
+
+
+def reference_random_hit(n: int, seed: int) -> Tree:
+    """random_hit as first written: decode and augment every draw (n >= 4),
+    keeping the first whose augmented order is n."""
+    from burnkit.generators import MAX_HIT_DRAWS, _random_tree
+
+    rng = random.Random(seed)
+    lo = max(2, (n + 3) // 2)
+    for _ in range(MAX_HIT_DRAWS):
+        m = rng.randint(lo, n)
+        augmented, _ = augment_degree2(_random_tree(m, rng))
+        if augmented.n == n:
+            return augmented
+    raise AssertionError(f"no HIT on {n} vertices within the draw limit")
+
+
+def reference_spanning_min(g: Graph) -> tuple[int, Tree, BurningSchedule]:
+    """min over spanning trees by full enumeration, solving every tree
+    exactly: the first enumerated tree attaining the minimum, with its
+    lexicographically smallest optimal schedule."""
+    best = None
+    for tree in enumerate_spanning_trees(g):
+        k, sched = burning_number_exact(tree.graph)
+        if best is None or k < best[0]:
+            best = (k, tree, sched)
+    return best
+
+
+def wheel_graph(rim: int) -> Graph:
+    """Hub 0 joined to every vertex of the cycle 1..rim."""
+    spokes = [(0, i) for i in range(1, rim + 1)]
+    return build_graph(rim + 1, spokes + [(i, i % rim + 1) for i in range(1, rim + 1)])
+
+
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertex ids permuted at random."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def subdivide_edge(t: Tree, edge: tuple[int, int]) -> tuple[Tree, int]:

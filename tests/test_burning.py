@@ -18,7 +18,13 @@ from burnkit import (
     smooth,
     sqrt_ceil,
 )
-from burnkit.errors import Disconnected, InvalidSource, TooLarge
+from burnkit.errors import (
+    Disconnected,
+    InvalidSource,
+    MalformedPlan,
+    TooLarge,
+    TooSmall,
+)
 from burnkit.generators import path_graph, petersen_graph
 
 from helpers import (
@@ -145,6 +151,11 @@ def test_exact_rejects_limits():
         burning_number_exact(build_graph(2, []))
 
 
+def test_exact_rejects_empty_graph():
+    with pytest.raises(TooSmall):
+        burning_number_exact(build_graph(0, []))
+
+
 def test_modified_exact_p3_center():
     k, witness = modified_burning_number_exact(path_graph(3), (1,))
     assert k == 2
@@ -200,6 +211,22 @@ def test_schedule_json_round_trip():
     mod = ModifiedSchedule(preburn=(2,), sources=(0, 1))
     assert schedule_from_json_dict(mod.to_json_dict()) == mod
     assert schedule_from_json_dict({"sources": [0]}) == BurningSchedule(sources=(0,))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"srcs": [1]},
+        {"sources": ["a"]},
+        {"sources": [True, 3]},
+        {"sources": 1},
+        {"sources": [1], "preburn": [0.5]},
+        [1, 3],
+    ],
+)
+def test_schedule_json_rejects_malformed(payload):
+    with pytest.raises(MalformedPlan):
+        schedule_from_json_dict(payload)
 
 
 def test_burn_map_json_uses_zero_for_unburned():

@@ -1,12 +1,17 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from burnkit.cli import main
+import burnkit
+from burnkit import BurningSchedule, build_graph, is_complete, simulate
+from burnkit.cli import _build_parser, main
 from burnkit.graph import format_edge_list
 from burnkit.generators import path_graph, petersen_graph
 
-from helpers import EIGHT_VERTEX_HIT_EDGES
+from helpers import EIGHT_VERTEX_HIT_EDGES, wheel_graph
 
 
 @pytest.fixture
@@ -90,6 +95,62 @@ def test_spanning_min(capsys, p4_file):
     assert json.loads(out)["k"] == 2
 
 
+def test_spanning_min_wheel_12(capsys, tmp_path):
+    # 103,680 spanning trees; the search stops at the first tree that burns
+    # in b(wheel) = 2 rounds
+    rim = 12
+    wheel = wheel_graph(rim)
+    path = tmp_path / "w12.el"
+    path.write_text(format_edge_list(wheel))
+    code, out = run(capsys, "spanning-min", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["k"] == 2 and len(payload["sources"]) == 2
+    tree_edges = [tuple(e) for e in payload["tree_edges"]]
+    assert len(tree_edges) == rim and all(wheel.has_edge(u, v) for u, v in tree_edges)
+    tree = build_graph(rim + 1, tree_edges)
+    assert is_complete(simulate(tree, BurningSchedule(tuple(payload["sources"]))))
+
+
+def test_empty_graph_is_an_input_error(capsys, tmp_path):
+    empty = tmp_path / "empty.el"
+    empty.write_text("0 0\n")
+    for command in ("solve", "spanning-min"):
+        code = main([command, str(empty)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_parser_is_built_lazily():
+    src = str(Path(burnkit.__file__).resolve().parent.parent)
+    code = "import burnkit.cli as c; print(c._build_parser.cache_info().currsize)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.stdout == "0\n", result.stderr
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, p4_file):
+    assert _build_parser() is _build_parser()
+    code, out = run(capsys, "solve", p4_file)
+    assert code == 0 and json.loads(out) == {"k": 2, "sources": [1, 3]}
+    code, out = run(capsys, "gen", "path", "-n", "3")
+    assert code == 0 and out == "3 2\n0 1\n1 2\n"
+    with pytest.raises(SystemExit) as reused:
+        main(["solve"])
+    reused_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as fresh:
+        _build_parser.__wrapped__().parse_args(["solve"])
+    fresh_err = capsys.readouterr().err
+    assert reused.value.code == fresh.value.code == 2
+    assert reused_err == fresh_err
+    assert "the following arguments are required: graph" in reused_err
+
+
 def test_gen_and_env_seed(capsys, monkeypatch):
     code, out1 = run(capsys, "gen", "random_tree", "-n", "12", "--seed", "4")
     assert code == 0
@@ -119,6 +180,24 @@ def test_verify_pass_and_fail(capsys, tmp_path, p4_file):
     over_bound.write_text(json.dumps({"sources": [1, 3], "bound": 1}))
     code, _ = run(capsys, "verify", p4_file, str(over_bound))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        {"srcs": [1]},
+        {"sources": ["a"]},
+        {"sources": [1, 3], "bound": "x"},
+        {"sources": [True, 3]},
+    ],
+)
+def test_verify_rejects_malformed_plan(capsys, tmp_path, p4_file, plan):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code = main(["verify", p4_file, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_input_errors_exit_two(capsys, tmp_path):

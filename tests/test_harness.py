@@ -20,6 +20,8 @@ from burnkit.generators import (
     spider_graph,
 )
 
+from helpers import reference_random_hit
+
 
 def test_generate_dispatch():
     assert generate("path", {"n": 4}) == path_graph(4)
@@ -57,6 +59,12 @@ def test_generator_output_byte_deterministic():
         assert format_edge_list(generate(family, params)) == format_edge_list(
             generate(family, params)
         )
+
+
+def test_random_hit_matches_decode_then_augment():
+    for n in (4, 5, 6, 7, 10, 16, 33, 60, 150):
+        for seed in range(4):
+            assert random_hit(n, seed) == reference_random_hit(n, seed)
 
 
 def test_random_hit_sizes_and_rejects_three():

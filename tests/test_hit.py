@@ -1,6 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import burnkit
 
 from burnkit import (
     BurningSchedule,
@@ -220,3 +225,27 @@ def test_plan_json_shape():
     d = hit_schedule(eight_vertex_hit()).to_json_dict()
     assert set(d) == {"bound", "sources", "rounds", "completion"}
     assert d["completion"] <= d["bound"]
+
+
+def test_certification_survives_python_o():
+    # under -O an assert is stripped; the certify checks must still raise
+    code = (
+        "from burnkit import BurnMap, BurningSchedule, CertifiedPlan\n"
+        "from burnkit.errors import CertificationFailed\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    CertifiedPlan(BurningSchedule((0, 1, 2)), bound=1,"
+        " burn_map=BurnMap((None, None)))\n"
+        "except CertificationFailed:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(burnkit.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "rejected\n"

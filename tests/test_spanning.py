@@ -16,10 +16,18 @@ from burnkit import (
     simulate,
     sqrt_ceil,
 )
+from burnkit.burning import _search_depth
 from burnkit.errors import Disconnected, TooLarge, TooMany
-from burnkit.generators import path_graph, petersen_graph, star_graph
+from burnkit.generators import path_graph, petersen_graph, spider_graph, star_graph
 
-from helpers import random_connected_graph
+from helpers import (
+    atlas_connected_graphs,
+    random_connected_graph,
+    random_tree_rng,
+    reference_spanning_min,
+    relabel,
+    wheel_graph,
+)
 
 
 def cycle_graph(n):
@@ -62,6 +70,65 @@ def test_spanning_min_examples():
     k, tree, sched = burning_number_via_spanning_trees(petersen_graph())
     assert k == 3 == burning_number_exact(petersen_graph())[0]
     assert is_complete(simulate(tree.graph, sched))
+
+
+def grid_graph(rows, cols):
+    edges = []
+    for v in range(rows * cols):
+        if v % cols + 1 < cols:
+            edges.append((v, v + 1))
+        if v + cols < rows * cols:
+            edges.append((v, v + cols))
+    return build_graph(rows * cols, edges)
+
+
+def sparse_connected_graph(n, rng):
+    """Random tree plus at most three extra edges."""
+    edges = set(random_tree_rng(n, rng).graph.edges())
+    for _ in range(rng.randrange(0, 4)):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return build_graph(n, sorted(edges))
+
+
+def test_spanning_min_matches_full_enumeration():
+    # solving g once and stopping at the first tree that burns in b(g)
+    # rounds gives the same (k, tree, schedule) as solving every tree
+    rng = random.Random(83)
+    graphs = [petersen_graph()]
+    graphs += [relabel(wheel_graph(rim), rng) for rim in range(3, 10)]
+    grids = [(2, 3), (3, 3), (3, 4), (2, 6)]
+    graphs += [relabel(grid_graph(rows, cols), rng) for rows, cols in grids]
+    for i in range(400):
+        if i % 2:
+            graphs.append(sparse_connected_graph(rng.randint(2, 16), rng))
+        else:
+            graphs.append(random_connected_graph(rng.randint(1, 9), rng))
+    for g in graphs:
+        assert burning_number_via_spanning_trees(g) == reference_spanning_min(g)
+
+
+def test_spanning_min_guard_order():
+    # Disconnected and TooMany come before the exact solver's TooLarge
+    with pytest.raises(Disconnected):
+        burning_number_via_spanning_trees(build_graph(3, [(0, 1)]), exact_limit=2)
+    with pytest.raises(TooMany):
+        burning_number_via_spanning_trees(
+            petersen_graph(), tree_limit=1999, exact_limit=9
+        )
+    with pytest.raises(TooLarge, match="n=10 exceeds exact-solver limit 9"):
+        burning_number_via_spanning_trees(petersen_graph(), exact_limit=9)
+
+
+def test_search_depth_at_and_below_burning_number():
+    rng = random.Random(89)
+    graphs = atlas_connected_graphs(6)
+    graphs += [random_tree_rng(rng.randint(1, 20), rng).graph for _ in range(40)]
+    graphs += [spider_graph([3, 3, 2]), petersen_graph(), grid_graph(3, 4)]
+    for g in graphs:
+        k, sched = burning_number_exact(g)
+        assert _search_depth(g, k, (), [], []) == sched.sources
+        assert _search_depth(g, k - 1, (), [], []) is None
 
 
 def test_subtree_lemma_equality_random():
