@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .burning import burning_number_exact
-from .errors import BurnkitError
+from .errors import BurnkitError, MalformedSpec, certify
 from .generators import generate
 from .graph import Graph, Tree
 from .hit import sqrt_ceil, tree_schedule_via_augmentation
@@ -66,20 +66,18 @@ class BenchRecord:
     def check_invariants(self) -> None:
         if self.error:
             return
-        if self.plan_len is not None and self.plan_len > self.bound_cor8:
-            raise AssertionError(
-                f"{self.instance_id}: plan length {self.plan_len} exceeds "
-                f"bound {self.bound_cor8}"
-            )
-        if (
-            self.exact_b is not None
-            and self.plan_len is not None
-            and self.exact_b > self.plan_len
-        ):
-            raise AssertionError(
-                f"{self.instance_id}: exact {self.exact_b} exceeds plan "
-                f"length {self.plan_len}"
-            )
+        certify(
+            self.plan_len is None or self.plan_len <= self.bound_cor8,
+            f"{self.instance_id}: plan length {self.plan_len} exceeds "
+            f"bound {self.bound_cor8}",
+        )
+        certify(
+            self.exact_b is None
+            or self.plan_len is None
+            or self.exact_b <= self.plan_len,
+            f"{self.instance_id}: exact {self.exact_b} exceeds plan "
+            f"length {self.plan_len}",
+        )
 
     def to_row(self) -> dict:
         return {
@@ -141,11 +139,32 @@ def bench_instance(
     return record
 
 
-def run_bench(spec: dict) -> list[BenchRecord]:
+def _int_list(value, what: str) -> list[int]:
+    """A JSON list of integers; bools are not integers."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise MalformedSpec(f"{what} must be a list of integers")
+    return value
+
+
+def run_bench(spec: dict, exact_limit: int | None = None) -> list[BenchRecord]:
     """spec: {"families": [{"family": name, "sizes": [...], "params": {...}}],
-    "seeds": [...], "exact_limit": N}. Seeds apply to random families only."""
-    exact_limit = int(spec.get("exact_limit", DEFAULT_BENCH_EXACT_LIMIT))
-    seeds = [int(s) for s in spec.get("seeds", [0])]
+    "seeds": [...], "exact_limit": N}. Seeds apply to random families only;
+    an exact_limit argument overrides the spec's. A spec of any other shape
+    raises MalformedSpec before any instance runs."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("families"), list):
+        raise MalformedSpec('bench spec must be an object with a "families" list')
+    if exact_limit is None:
+        exact_limit = spec.get("exact_limit", DEFAULT_BENCH_EXACT_LIMIT)
+    if type(exact_limit) is not int:
+        raise MalformedSpec('"exact_limit" must be an integer')
+    seeds = _int_list(spec.get("seeds", [0]), '"seeds"')
+    for entry in spec["families"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("family"), str):
+            raise MalformedSpec('each "families" entry needs a "family" name')
+        if not isinstance(entry.get("params", {}), dict):
+            raise MalformedSpec(f'{entry["family"]}: "params" must be an object')
+        if "sizes" in entry:
+            _int_list(entry["sizes"], f'{entry["family"]}: "sizes"')
     records = []
     for entry in spec["families"]:
         family = entry["family"]

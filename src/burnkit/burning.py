@@ -8,10 +8,21 @@ a preburn set U in round 1.
 
 The exact solver is iterative deepening on k. Completeness of a length-k
 schedule is equivalent, by the closed form burn_round(v) = min_i(i + d(v, x_i)),
-to the distance balls B(x_i, k-i) covering all vertices; the search branches on
-sources in ascending id order and prunes a prefix when the uncovered vertices
-outnumber the best-case coverage of the remaining ball radii. The returned
-witness is therefore the lexicographically smallest optimal schedule.
+to the distance balls B(x_i, k-i) covering all vertices. Both searches prune a
+state when the uncovered vertices outnumber the best-case coverage of the
+remaining ball radii, and both return the lexicographically smallest optimal
+schedule as the witness.
+
+On a tree the search works on sets of free radii rather than on positions.
+Rooted at vertex 0, the deepest uncovered vertex u must lie in some ball
+B(x, r), and B(a, r), with a the r-th ancestor of u (or the root), covers every
+uncovered vertex that B(x, r) covers (Slater, R-domination in graphs, 1976).
+So a covering exists iff one exists that uses B(a, r) for some free r, and the
+prover branches only on those at most k balls, remembering every state
+(covered set, free radii) that failed. The witness is then fixed one position
+at a time: the lowest vertex whose ball leaves a state the prover accepts.
+Graphs with cycles use a depth-first search over source lists in ascending id
+order, whose first hit is the lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -228,6 +239,124 @@ def _search_depth(
     return None
 
 
+def _rooted_levels(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """Root the tree g at vertex 0 by BFS: one bitmask of vertices per
+    depth, and the ancestor tables [identity, parent], the root being its
+    own parent."""
+    parent = list(range(g.n))
+    levels = [1]
+    seen = 1
+    frontier = [0]
+    while True:
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if not seen >> w & 1:
+                    seen |= 1 << w
+                    parent[w] = u
+                    nxt.append(w)
+        if not nxt:
+            return levels, [list(range(g.n)), parent]
+        levels.append(sum(1 << w for w in nxt))
+        frontier = nxt
+
+
+def _tree_feasible(
+    covered: int,
+    free: int,
+    cap: int,
+    full: int,
+    k: int,
+    levels: list[int],
+    ancestors: list[list[int]],
+    balls: list[list[int]],
+    maxcov: list[int],
+    failed: set[int],
+) -> bool:
+    """Whether one ball of each radius in the bitmask free can cover the
+    rest of the tree; cap is the sum of maxcov over those radii. Only the
+    ball around the r-th ancestor of the deepest uncovered vertex is tried
+    for each radius r, largest first. Failed states are added to failed."""
+    if covered == full:
+        return True
+    unc = full ^ covered
+    if unc.bit_count() > cap:
+        return False
+    key = covered << k | free
+    if key in failed:
+        return False
+    d = len(levels) - 1
+    while not unc & levels[d]:
+        d -= 1
+    low = unc & levels[d]
+    u = (low & -low).bit_length() - 1
+    rest = free
+    while rest:
+        r = rest.bit_length() - 1
+        rest ^= 1 << r
+        if _tree_feasible(
+            covered | balls[r][ancestors[r][u]],
+            free ^ (1 << r),
+            cap - maxcov[r],
+            full,
+            k,
+            levels,
+            ancestors,
+            balls,
+            maxcov,
+            failed,
+        ):
+            return True
+    failed.add(key)
+    return False
+
+
+def _tree_search_depth(
+    g: Graph,
+    k: int,
+    preburn: tuple[int, ...],
+    balls: list[list[int]],
+    maxcov: list[int],
+    levels: list[int],
+    ancestors: list[list[int]],
+) -> tuple[int, ...] | None:
+    """_search_depth for a tree g rooted by _rooted_levels, with the same
+    result. Decides k with _tree_feasible, then fixes each position in turn
+    to the lowest vertex that leaves a feasible state. Grows the shared
+    ball layers and ancestors[r][v], the r-th ancestor of v, to radius k-1."""
+    _balls_by_radius(g, k - 1, balls, maxcov)
+    while len(ancestors) < k:
+        parent = ancestors[1]
+        ancestors.append([parent[a] for a in ancestors[-1]])
+    full = (1 << g.n) - 1
+    covered = 0
+    for v in preburn:
+        covered |= balls[k - 1][v]
+    free = (1 << k) - 1
+    cap = sum(maxcov[:k])
+    # one set of failed states, shared by every prover call at this depth
+    state = (full, k, levels, ancestors, balls, maxcov, set())
+    if not _tree_feasible(covered, free, cap, *state):
+        return None
+    witness = []
+    for radius in range(k - 1, -1, -1):
+        free ^= 1 << radius
+        cap -= maxcov[radius]
+        layer = balls[radius]
+        v = next(
+            (
+                v
+                for v in range(g.n)
+                if _tree_feasible(covered | layer[v], free, cap, *state)
+            ),
+            None,
+        )
+        certify(v is not None, "a feasible tree state must admit a next source")
+        witness.append(v)
+        covered |= layer[v]
+    return tuple(witness)
+
+
 def burning_number_exact(
     g: Graph, limit: int = DEFAULT_EXACT_LIMIT
 ) -> tuple[int, BurningSchedule]:
@@ -257,8 +386,12 @@ def _modified_exact(
     # one set of ball layers, grown a radius per depth k
     balls: list[list[int]] = []
     maxcov: list[int] = []
+    rooted = _rooted_levels(g) if g.m == g.n - 1 else None
     for k in range(1, g.n + 1):
-        witness = _search_depth(g, k, preburn, balls, maxcov)
+        if rooted is None:
+            witness = _search_depth(g, k, preburn, balls, maxcov)
+        else:
+            witness = _tree_search_depth(g, k, preburn, balls, maxcov, *rooted)
         if witness is not None:
             found = ModifiedSchedule(preburn=preburn, sources=witness)
             bm = simulate_modified(g, found)

@@ -1,5 +1,6 @@
 """Command-line surface. Graphs travel as edge-list files, schedules and
-plans as JSON. Exit codes: 0 success, 1 verification failure, 2 input error.
+plans as JSON. Exit codes: 0 success, 1 verification failure, 2 input error,
+3 internal error (a result failed burnkit's own verification).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .burning import (
     simulate_modified,
     ModifiedSchedule,
 )
-from .errors import BurnkitError, MalformedPlan
+from .errors import BurnkitError, InternalError, MalformedPlan
 from .generators import generate
 from .graph import Graph, Tree, format_edge_list, parse_edge_list
 from .hit import hit_schedule, tree_schedule_via_augmentation
@@ -194,9 +195,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    if args.limit_exact is not None:
-        spec["exact_limit"] = args.limit_exact
-    records = run_bench(spec)
+    records = run_bench(spec, exact_limit=args.limit_exact)
     csv_text = records_to_csv(records)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -226,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (BurnkitError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InternalError) else 2
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ class BurnkitError(Exception):
     """Base class for all burnkit errors."""
 
 
+class InternalError(BurnkitError):
+    """A result failed burnkit's own verification: an implementation bug,
+    not bad input."""
+
+
 class MalformedEdge(BurnkitError):
     """Edge with an out-of-range endpoint, a self-loop, or a duplicate."""
 
@@ -43,7 +48,7 @@ class TooMany(BurnkitError):
 
 class TooSmall(BurnkitError):
     """Instance below an operation's minimum size: anchor search needs 6
-    vertices, burning needs 1."""
+    vertices, burning and HIST search need 1."""
 
 
 class NotAHIT(BurnkitError):
@@ -54,11 +59,11 @@ class BaseScheduleIncomplete(BurnkitError):
     """Schedule handed to the lift does not burn the smoothed tree."""
 
 
-class LiftVerificationFailed(BurnkitError):
+class LiftVerificationFailed(InternalError):
     """Lifted schedule failed re-simulation; indicates an implementation bug."""
 
 
-class ProjectionVerificationFailed(BurnkitError):
+class ProjectionVerificationFailed(InternalError):
     """Projected schedule failed re-simulation; indicates an implementation bug."""
 
 
@@ -70,7 +75,11 @@ class MalformedPlan(BurnkitError):
     """Schedule or plan JSON that does not match the expected shape."""
 
 
-class CertificationFailed(BurnkitError):
+class MalformedSpec(BurnkitError):
+    """Bench spec JSON that does not match the expected shape."""
+
+
+class CertificationFailed(InternalError):
     """A certified result failed its own check; indicates an implementation bug."""
 
 

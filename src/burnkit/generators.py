@@ -118,21 +118,34 @@ def random_hit(n: int, seed: int) -> Tree:
     raise BadParams(f"could not hit target HIT size {n}")
 
 
+def _int_param(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"parameter value {value!r} is not an integer") from exc
+
+
 def generate(family: str, params: dict) -> Graph:
-    """Dispatch on family name; deterministic under (family, params, seed)."""
+    """Dispatch on family name; deterministic under (family, params, seed).
+    A missing or non-integer parameter raises BadParams."""
     try:
         if family == "path":
-            return path_graph(int(params["n"]))
+            return path_graph(_int_param(params["n"]))
         if family == "star":
-            return star_graph(int(params["n"]))
+            return star_graph(_int_param(params["n"]))
         if family == "spider":
-            return spider_graph([int(x) for x in params["legs"]])
+            legs = params["legs"]
+            if not isinstance(legs, (list, tuple)):
+                raise BadParams("spider legs must be a list of lengths")
+            return spider_graph([_int_param(x) for x in legs])
         if family == "petersen":
             return petersen_graph()
         if family == "random_tree":
-            return random_tree(int(params["n"]), int(params["seed"])).graph
+            n, seed = _int_param(params["n"]), _int_param(params["seed"])
+            return random_tree(n, seed).graph
         if family == "random_hit":
-            return random_hit(int(params["n"]), int(params["seed"])).graph
+            n, seed = _int_param(params["n"]), _int_param(params["seed"])
+            return random_hit(n, seed).graph
     except KeyError as exc:
         raise BadParams(f"family {family!r} missing parameter {exc}") from exc
     raise BadParams(f"unknown family {family!r}")

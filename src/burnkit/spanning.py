@@ -18,7 +18,14 @@ from .burning import (
     is_complete,
     simulate,
 )
-from .errors import CertificationFailed, Disconnected, TooLarge, TooMany, certify
+from .errors import (
+    CertificationFailed,
+    Disconnected,
+    TooLarge,
+    TooMany,
+    TooSmall,
+    certify,
+)
 from .graph import Graph, Tree, build_tree
 from .hit import CertifiedPlan, hit_schedule, is_hit, sqrt_ceil
 
@@ -172,6 +179,8 @@ def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
     """
     if g.n > limit:
         raise TooLarge(f"n={g.n} exceeds HIST search limit {limit}")
+    if g.n == 0:
+        raise TooSmall("HIST search needs a graph with at least one vertex")
     if not g.is_connected():
         raise Disconnected("HIST search requires a connected graph")
     if g.n == 1:

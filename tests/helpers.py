@@ -141,6 +141,53 @@ def reference_spanning_min(g: Graph) -> tuple[int, Tree, BurningSchedule]:
     return best
 
 
+def reference_search_depth(
+    g: Graph, k: int, preburn: tuple[int, ...] = ()
+) -> tuple[int, ...] | None:
+    """The exact solver's search on any graph as first written: depth-first
+    over source lists in ascending id order, with the best-case coverage
+    prune. The first length-k list whose balls B(x_i, k-i), with the
+    preburn set's radius-(k-1) balls, cover g is the lexicographically
+    smallest; None if there is none."""
+    balls = [[1 << v for v in range(g.n)]]
+    for _ in range(k - 1):
+        prev = balls[-1]
+        layer = []
+        for v in range(g.n):
+            mask = prev[v]
+            for w in g.adj[v]:
+                mask |= prev[w]
+            layer.append(mask)
+        balls.append(layer)
+    maxcov = [max(mask.bit_count() for mask in layer) for layer in balls]
+    full = (1 << g.n) - 1
+    initial = 0
+    for v in preburn:
+        initial |= balls[k - 1][v]
+    remaining_cap = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        remaining_cap[i] = remaining_cap[i + 1] + maxcov[k - 1 - i]
+    prefix: list[int] = []
+
+    def dfs(pos: int, covered: int) -> bool:
+        if covered == full:
+            prefix.extend([0] * (k - pos))
+            return True
+        if pos == k:
+            return False
+        if (full ^ covered).bit_count() > remaining_cap[pos]:
+            return False
+        layer = balls[k - 1 - pos]
+        for v in range(g.n):
+            prefix.append(v)
+            if dfs(pos + 1, covered | layer[v]):
+                return True
+            prefix.pop()
+        return False
+
+    return tuple(prefix) if dfs(0, initial) else None
+
+
 def wheel_graph(rim: int) -> Graph:
     """Hub 0 joined to every vertex of the cycle 1..rim."""
     spokes = [(0, i) for i in range(1, rim + 1)]

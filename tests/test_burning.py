@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,13 +26,17 @@ from burnkit.errors import (
     TooLarge,
     TooSmall,
 )
-from burnkit.generators import path_graph, petersen_graph
+from burnkit.burning import _rooted_levels, _tree_search_depth
+from burnkit.generators import path_graph, petersen_graph, random_tree, spider_graph
 
 from helpers import (
     atlas_connected_graphs,
     naive_burning_number,
+    naive_modified_burning_number,
     random_connected_graph,
     random_tree_rng,
+    reference_search_depth,
+    relabel,
     subdivide_edge,
 )
 
@@ -233,3 +238,66 @@ def test_burn_map_json_uses_zero_for_unburned():
     bm = simulate(path_graph(4), BurningSchedule(sources=(0,)))
     d = bm.to_json_dict()
     assert d["rounds"] == [1, 0, 0, 0] and d["completion"] == 0
+
+
+def test_tree_search_matches_reference_dfs():
+    # relabelled random trees, every third with a preburn set, at k-1, k
+    # and k+1: the tree prover and position-by-position witness give the
+    # depth-first search's result, lex-smallest witness or None
+    rng = random.Random(41)
+    for i in range(1200):
+        n = rng.randint(1, 40)
+        g = relabel(random_tree_rng(n, rng).graph, rng)
+        preburn = ()
+        if i % 3 == 0:
+            preburn = tuple(sorted(rng.sample(range(n), rng.randint(1, 1 + n // 4))))
+        k, witness = modified_burning_number_exact(g, preburn)
+        assert witness.sources == reference_search_depth(g, k, preburn)
+        for depth in (k - 1, k + 1):
+            if depth >= 1:
+                found = _tree_search_depth(g, depth, preburn, [], [], *_rooted_levels(g))
+                assert found == reference_search_depth(g, depth, preburn)
+
+
+def test_tree_witness_matches_naive_on_all_small_trees():
+    rng = random.Random(8)
+    trees = [build_graph(1, [])]
+    for n in range(2, 9):
+        trees += [build_graph(n, list(t.edges())) for t in nx.nonisomorphic_trees(n)]
+    for g in trees:
+        for h in (g, relabel(g, rng)):
+            k, witness = burning_number_exact(h)
+            assert (k, witness.sources) == naive_burning_number(h)
+            preburn = tuple(sorted(rng.sample(range(h.n), rng.randint(1, h.n))))
+            k, witness = modified_burning_number_exact(h, preburn)
+            assert (k, witness.sources) == naive_modified_burning_number(h, preburn)
+
+
+@pytest.mark.parametrize("legs", [[5] * 10, [7] * 9])
+def test_exact_relabelled_spiders(legs):
+    # the depth-first search took seconds (10 legs of 5) and over 20 s
+    # (9 legs of 7) on some relabellings; only the hub's ball of radius
+    # k-1 covers the spider, so the witness is the hub, then zeros
+    for seed in range(3):
+        g = relabel(spider_graph(legs), random.Random(seed))
+        hub = max(range(g.n), key=g.degree)
+        k, witness = burning_number_exact(g)
+        assert k == legs[0] + 1
+        assert witness.sources == (hub,) + (0,) * legs[0]
+
+
+def test_exact_random_tree_80():
+    # witness of the depth-first search, which takes about 20 s on it
+    k, witness = burning_number_exact(random_tree(80, 1).graph, limit=80)
+    assert (k, witness.sources) == (7, (37, 70, 1, 36, 2, 7, 41))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=2**20),
+    st.randoms(use_true_random=False),
+)
+def test_exact_tree_burning_number_is_label_free(n, seed, perm_rng):
+    g = random_tree(n, seed).graph
+    assert burning_number_exact(relabel(g, perm_rng))[0] == burning_number_exact(g)[0]

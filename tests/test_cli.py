@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 import burnkit
+import burnkit.cli
 from burnkit import BurningSchedule, build_graph, is_complete, simulate
 from burnkit.cli import _build_parser, main
+from burnkit.errors import CertificationFailed
 from burnkit.graph import format_edge_list
 from burnkit.generators import path_graph, petersen_graph
 
@@ -115,7 +117,7 @@ def test_spanning_min_wheel_12(capsys, tmp_path):
 def test_empty_graph_is_an_input_error(capsys, tmp_path):
     empty = tmp_path / "empty.el"
     empty.write_text("0 0\n")
-    for command in ("solve", "spanning-min"):
+    for command in ("solve", "spanning-min", "hist"):
         code = main([command, str(empty)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -224,3 +226,48 @@ def test_bench_command(capsys, tmp_path):
     assert code == 0
     assert out_csv.read_text().startswith("instance_id,")
     assert out.startswith("n\t")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"instances": "x"},
+        [],
+        {"families": [{"family": "path", "sizes": "x"}]},
+        {"families": "path"},
+        {"families": [{"family": "path", "sizes": [True]}]},
+        {"families": [{"family": "path", "params": [4]}]},
+        {"families": [{"sizes": [4]}]},
+        {"families": [], "seeds": "0"},
+        {"families": [], "exact_limit": "16"},
+        {"families": [{"family": "spider", "params": {"legs": 5}}]},
+        {"families": [{"family": "path", "params": {"n": [4]}}]},
+    ],
+)
+def test_bench_rejects_malformed_spec(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["bench", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_bench_limit_flag_overrides_spec(capsys, tmp_path):
+    spec = tmp_path / "bench.json"
+    spec.write_text(json.dumps({"families": [{"family": "path", "sizes": [9]}]}))
+    code, out = run(capsys, "bench", str(spec), "--limit-exact", "8")
+    assert code == 0 and out.splitlines()[1].split(",")[4] == ""
+    code, out = run(capsys, "bench", str(spec), "--limit-exact", "9")
+    assert code == 0 and out.splitlines()[1].split(",")[4] == "3"
+
+
+def test_internal_failure_exits_three(capsys, monkeypatch, hit8_file):
+    def broken(tree):
+        raise CertificationFailed("construction must burn the whole tree")
+
+    monkeypatch.setattr(burnkit.cli, "hit_schedule", broken)
+    code = main(["hit-plan", hit8_file])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: construction must burn the whole tree\n"

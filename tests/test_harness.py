@@ -2,6 +2,7 @@ import pytest
 
 from burnkit import build_tree, format_edge_list, is_hit, parse_edge_list
 from burnkit.bench import (
+    BenchRecord,
     bench_instance,
     bound_competing,
     bound_leaf_augmentation,
@@ -9,7 +10,7 @@ from burnkit.bench import (
     run_bench,
     summarize,
 )
-from burnkit.errors import BadParams
+from burnkit.errors import BadParams, CertificationFailed
 from burnkit.generators import (
     generate,
     path_graph,
@@ -133,3 +134,13 @@ def test_run_bench_and_csv():
 def test_bench_hit_rows_get_hit_bound():
     record = bench_instance("h10", "random_hit", {"n": 10, "seed": 2})
     assert record.d == 0 and record.bound_hit == record.bound_cor8
+
+
+def test_bench_invariant_violation_is_a_certification_failure():
+    record = bench_instance("p9", "path", {"n": 9}, exact_limit=16)
+    over = BenchRecord(**{**vars(record), "plan_len": record.bound_cor8 + 1})
+    with pytest.raises(CertificationFailed, match="exceeds bound"):
+        over.check_invariants()
+    under = BenchRecord(**{**vars(record), "exact_b": record.plan_len + 1})
+    with pytest.raises(CertificationFailed, match="exceeds plan length"):
+        under.check_invariants()
