@@ -5,11 +5,9 @@ an exact burning-number solver, and spanning-tree bounds for general graphs.
 from .burning import (
     BurnMap,
     BurningSchedule,
-    ModifiedSchedule,
     burning_number_exact,
     closed_form_rounds,
     is_complete,
-    modified_burning_number_exact,
     schedule_from_json_dict,
     simulate,
     simulate_modified,
@@ -57,7 +55,6 @@ __all__ = [
     "CertifiedPlan",
     "Graph",
     "HistResult",
-    "ModifiedSchedule",
     "Tree",
     "augment_degree2",
     "bridge_component",
@@ -78,7 +75,6 @@ __all__ = [
     "is_hit",
     "lift_schedule",
     "matrix_tree_count",
-    "modified_burning_number_exact",
     "parse_edge_list",
     "schedule_from_json_dict",
     "simulate",

@@ -3,8 +3,8 @@ formula, and exact (modified) burning-number search.
 
 A schedule of length k defines exactly k rounds. In round i the i-th source is
 burned (a no-op if already burned) and fire spreads from every vertex burned
-in round i-1 to its unburned neighbors. A modified schedule additionally burns
-a preburn set U in round 1.
+in round i-1 to its unburned neighbors. A schedule may also carry a preburn
+set U, burned in round 1: the modified process.
 
 The exact solver is iterative deepening on k. Completeness of a length-k
 schedule is equivalent, by the closed form burn_round(v) = min_i(i + d(v, x_i)),
@@ -46,27 +46,11 @@ DEFAULT_EXACT_LIMIT = 64
 
 @dataclass(frozen=True)
 class BurningSchedule:
-    """Ordered sources (x_1, ..., x_k); repeats are no-ops."""
+    """Ordered sources (x_1, ..., x_k), repeats being no-ops, plus an
+    optional preburn set U burned in round 1 (the modified process)."""
 
     sources: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.sources) < 1:
-            raise InvalidSource("schedule needs at least one source")
-
-    def __len__(self) -> int:
-        return len(self.sources)
-
-    def to_json_dict(self) -> dict:
-        return {"sources": list(self.sources)}
-
-
-@dataclass(frozen=True)
-class ModifiedSchedule:
-    """Preburn set U (burned in round 1) plus ordered sources."""
-
-    preburn: tuple[int, ...]
-    sources: tuple[int, ...]
+    preburn: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.sources) < 1:
@@ -77,7 +61,10 @@ class ModifiedSchedule:
         return len(self.sources)
 
     def to_json_dict(self) -> dict:
-        return {"preburn": list(self.preburn), "sources": list(self.sources)}
+        d = {"sources": list(self.sources)}
+        if self.preburn:
+            d["preburn"] = list(self.preburn)
+        return d
 
 
 def _json_ids(value, key: str) -> tuple[int, ...]:
@@ -87,16 +74,15 @@ def _json_ids(value, key: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def schedule_from_json_dict(d: dict) -> BurningSchedule | ModifiedSchedule:
+def schedule_from_json_dict(d: dict) -> BurningSchedule:
     """Strict inverse of to_json_dict: "sources" is required, "preburn"
     optional, and both hold integer ids only."""
     if not isinstance(d, dict) or "sources" not in d:
         raise MalformedPlan('plan needs a "sources" list')
-    sources = _json_ids(d["sources"], "sources")
-    preburn = _json_ids(d.get("preburn", []), "preburn")
-    if preburn:
-        return ModifiedSchedule(preburn=preburn, sources=sources)
-    return BurningSchedule(sources=sources)
+    return BurningSchedule(
+        sources=_json_ids(d["sources"], "sources"),
+        preburn=_json_ids(d.get("preburn", []), "preburn"),
+    )
 
 
 @dataclass(frozen=True)
@@ -131,11 +117,13 @@ def _check_ids(g: Graph, ids) -> None:
 
 def simulate(g: Graph, s: BurningSchedule) -> BurnMap:
     """Run the burning process for exactly len(s) rounds."""
-    return simulate_modified(g, ModifiedSchedule(preburn=(), sources=s.sources))
+    # kept apart from simulate_modified: the benchmark traces both names
+    return simulate_modified(g, s)
 
 
-def simulate_modified(g: Graph, m: ModifiedSchedule) -> BurnMap:
-    """Run the modified process: preburn set plus first source in round 1."""
+def simulate_modified(g: Graph, m: BurningSchedule) -> BurnMap:
+    """Run the process for exactly len(m) rounds: the preburn set and the
+    first source burn in round 1."""
     _check_ids(g, m.preburn)
     _check_ids(g, m.sources)
     rounds: list[int | None] = [None] * g.n
@@ -159,7 +147,7 @@ def simulate_modified(g: Graph, m: ModifiedSchedule) -> BurnMap:
     return BurnMap(rounds=tuple(rounds))
 
 
-def closed_form_rounds(g: Graph, m: ModifiedSchedule) -> BurnMap:
+def closed_form_rounds(g: Graph, m: BurningSchedule) -> BurnMap:
     """burn_round(v) = min_i(i + d(v, x_i)), plus 1 + d(v, u) over preburn u,
     capped at the schedule length. Independent oracle for simulate."""
     k = len(m.sources)
@@ -358,25 +346,12 @@ def _tree_search_depth(
 
 
 def burning_number_exact(
-    g: Graph, limit: int = DEFAULT_EXACT_LIMIT
+    g: Graph, limit: int = DEFAULT_EXACT_LIMIT, preburn=()
 ) -> tuple[int, BurningSchedule]:
-    """Minimum rounds to burn g, with the lexicographically smallest witness."""
-    k, m = _modified_exact(g, (), limit)
-    return k, BurningSchedule(sources=m.sources)
-
-
-def modified_burning_number_exact(
-    g: Graph, preburn, limit: int = DEFAULT_EXACT_LIMIT
-) -> tuple[int, ModifiedSchedule]:
-    """Minimum rounds for the modified process with the given preburn set."""
-    u = tuple(sorted(set(preburn)))
-    _check_ids(g, u)
-    return _modified_exact(g, u, limit)
-
-
-def _modified_exact(
-    g: Graph, preburn: tuple[int, ...], limit: int
-) -> tuple[int, ModifiedSchedule]:
+    """Minimum rounds to burn g, with the preburn set burning in round 1,
+    and the lexicographically smallest witness."""
+    preburn = tuple(sorted(set(preburn)))
+    _check_ids(g, preburn)
     if g.n > limit:
         raise TooLarge(f"n={g.n} exceeds exact-solver limit {limit}")
     if g.n == 0:
@@ -393,7 +368,7 @@ def _modified_exact(
         else:
             witness = _tree_search_depth(g, k, preburn, balls, maxcov, *rooted)
         if witness is not None:
-            found = ModifiedSchedule(preburn=preburn, sources=witness)
+            found = BurningSchedule(sources=witness, preburn=preburn)
             bm = simulate_modified(g, found)
             certify(
                 is_complete(bm) and bm.completion <= k,

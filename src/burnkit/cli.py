@@ -18,14 +18,18 @@ from .burning import (
     burning_number_exact,
     is_complete,
     schedule_from_json_dict,
-    simulate_modified,
-    ModifiedSchedule,
+    simulate,
 )
-from .errors import BurnkitError, InternalError, MalformedPlan
+from .errors import BurnkitError, InternalError, MalformedPlan, MalformedSpec
 from .generators import generate
 from .graph import Graph, Tree, format_edge_list, parse_edge_list
 from .hit import hit_schedule, tree_schedule_via_augmentation
-from .spanning import burning_number_via_spanning_trees, find_hist
+from .spanning import (
+    DEFAULT_HIST_LIMIT,
+    DEFAULT_TREE_LIMIT,
+    burning_number_via_spanning_trees,
+    find_hist,
+)
 
 ENV_SEED = "BURNKIT_SEED"
 
@@ -69,14 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hist", help="search for a HIST and print it")
     p.add_argument("graph")
-    p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--limit", type=int, default=DEFAULT_HIST_LIMIT)
 
     p = sub.add_parser(
         "spanning-min", help="burning number as min over spanning trees"
     )
     p.add_argument("graph")
     p.add_argument("--limit-exact", type=int, default=DEFAULT_EXACT_LIMIT)
-    p.add_argument("--limit-trees", type=int, default=10**6)
+    p.add_argument("--limit-trees", type=int, default=DEFAULT_TREE_LIMIT)
 
     p = sub.add_parser("gen", help="generate a graph family as an edge list")
     p.add_argument("family")
@@ -99,10 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_burn(args) -> int:
     g = _load_graph(args.graph)
-    sched = ModifiedSchedule(
-        preburn=_parse_ids(args.preburn), sources=_parse_ids(args.sources)
+    sched = BurningSchedule(
+        sources=_parse_ids(args.sources), preburn=_parse_ids(args.preburn)
     )
-    bm = simulate_modified(g, sched)
+    bm = simulate(g, sched)
     print(json.dumps(bm.to_json_dict()))
     return 0
 
@@ -177,11 +181,12 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = json.load(fh)
+        try:
+            plan = json.load(fh)
+        except RecursionError as exc:
+            raise MalformedPlan("plan JSON is nested too deeply") from exc
     sched = schedule_from_json_dict(plan)
-    if isinstance(sched, BurningSchedule):
-        sched = ModifiedSchedule(preburn=(), sources=sched.sources)
-    bm = simulate_modified(g, sched)
+    bm = simulate(g, sched)
     ok = is_complete(bm)
     bound = plan.get("bound")
     if bound is not None and type(bound) is not int:
@@ -194,7 +199,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except RecursionError as exc:
+            raise MalformedSpec("spec JSON is nested too deeply") from exc
     records = run_bench(spec, exact_limit=args.limit_exact)
     csv_text = records_to_csv(records)
     if args.output:

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 from .errors import MalformedEdge, NotAnEdge, NotATree, NotDegreeTwo, Unreachable
 
+# Largest vertex count an edge-list header may declare. build_graph allocates
+# one adjacency set per vertex, so the header is checked before that; the cap
+# is ten times the 10^5-vertex planning target.
+MAX_VERTICES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -196,6 +201,8 @@ def parse_edge_list(text: str) -> Graph:
     except ValueError as exc:
         raise MalformedEdge(f"non-integer token in edge list: {exc}") from exc
     n, m = nums[0], nums[1]
+    if n > MAX_VERTICES:
+        raise MalformedEdge(f"vertex count {n} exceeds the cap {MAX_VERTICES}")
     if len(nums) != 2 + 2 * m:
         raise MalformedEdge(f"expected {m} edges, found {(len(nums) - 2) // 2}")
     edges = [(nums[2 + 2 * i], nums[3 + 2 * i]) for i in range(m)]

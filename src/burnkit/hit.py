@@ -13,14 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .burning import (
-    BurnMap,
-    BurningSchedule,
-    ModifiedSchedule,
-    is_complete,
-    simulate,
-    simulate_modified,
-)
+from .burning import BurnMap, BurningSchedule, is_complete, simulate, simulate_modified
 from .errors import (
     BaseScheduleIncomplete,
     CertificationFailed,
@@ -115,7 +108,7 @@ def find_anchor(t: Tree) -> Anchor:
     raise CertificationFailed("anchor walk failed to terminate within n steps")
 
 
-def lift_schedule(t: Tree, v: int, s: BurningSchedule) -> ModifiedSchedule:
+def lift_schedule(t: Tree, v: int, s: BurningSchedule) -> BurningSchedule:
     """Translate a complete schedule for smooth(t, v) back to t, preburning v.
 
     The result burns t in the same number of rounds; verified by simulation.
@@ -127,8 +120,8 @@ def lift_schedule(t: Tree, v: int, s: BurningSchedule) -> ModifiedSchedule:
     if not is_complete(base):
         raise BaseScheduleIncomplete("schedule does not burn the smoothed tree")
     back = {new: old for old, new in idmap.items()}
-    lifted = ModifiedSchedule(
-        preburn=(v,), sources=tuple(back[x] for x in s.sources)
+    lifted = BurningSchedule(
+        sources=tuple(back[x] for x in s.sources), preburn=(v,)
     )
     check = simulate_modified(t.graph, lifted)
     if not is_complete(check) or check.completion > len(s):
@@ -173,7 +166,7 @@ def _subtree(t: Tree, vertices: tuple[int, ...]) -> tuple[Tree, dict[int, int]]:
     return build_tree(len(vertices), edges), idmap
 
 
-def _modified_subschedule(t: Tree, y: int) -> ModifiedSchedule:
+def _modified_subschedule(t: Tree, y: int) -> BurningSchedule:
     """Schedule for a heavy side rooted at the already-burning cut vertex y.
 
     If y has degree 2 in the side, smooth it, solve the resulting HIT, and
@@ -181,12 +174,12 @@ def _modified_subschedule(t: Tree, y: int) -> ModifiedSchedule:
     y preburned.
     """
     if t.n == 1:
-        return ModifiedSchedule(preburn=(y,), sources=(y,))
+        return BurningSchedule(sources=(y,), preburn=(y,))
     if t.degree(y) == 2:
         smoothed, _ = smooth(t, y)
         return lift_schedule(t, y, hit_schedule(smoothed).schedule)
     plan = hit_schedule(t)
-    return ModifiedSchedule(preburn=(y,), sources=plan.schedule.sources)
+    return BurningSchedule(sources=plan.schedule.sources, preburn=(y,))
 
 
 def hit_schedule(t: Tree) -> CertifiedPlan:
@@ -213,13 +206,12 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
             y_side.size <= n - 2 * bound + 1 <= (bound - 1) ** 2,
             "heavy side must fit the recursion measure",
         )
+        dist = t.graph.distances_from(x)
         certify(
-            max(
-                d for v, d in enumerate(t.graph.distances_from(x))
-                if v in set(x_side.vertices)
-            ) <= bound - 1,
+            max(dist[v] for v in x_side.vertices) <= bound - 1,
             "anchor side must burn from x within the bound",
         )
+        del dist  # not held through the recursion below
         sub, idmap = _subtree(t, y_side.vertices)
         msched = _modified_subschedule(sub, idmap[y])
         back = {new: old for old, new in idmap.items()}

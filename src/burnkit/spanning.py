@@ -69,6 +69,9 @@ def matrix_tree_count(g: Graph) -> int:
 
 
 class _DSU:
+    """Union-find without path compression, so that a union made at the
+    root ru is undone exactly by resetting parent[ru] = ru."""
+
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
 
@@ -76,12 +79,6 @@ class _DSU:
         while self.parent[v] != v:
             v = self.parent[v]
         return v
-
-    def snapshot(self) -> list[int]:
-        return self.parent[:]
-
-    def restore(self, snap: list[int]) -> None:
-        self.parent = snap
 
     def union(self, u: int, v: int) -> bool:
         ru, rv = self.find(u), self.find(v)
@@ -121,13 +118,13 @@ def enumerate_spanning_trees(
         if not _spans(g.n, chosen + edges[i:]):
             return
         u, v = edges[i]
-        if dsu.find(u) != dsu.find(v):
-            snap = dsu.snapshot()
-            dsu.union(u, v)
+        ru, rv = dsu.find(u), dsu.find(v)
+        if ru != rv:
+            dsu.parent[ru] = rv
             chosen.append(edges[i])
             yield from rec(i + 1, chosen, dsu)
             chosen.pop()
-            dsu.restore(snap)
+            dsu.parent[ru] = ru
         yield from rec(i + 1, chosen, dsu)
 
     yield from rec(0, [], _DSU(g.n))
@@ -205,9 +202,9 @@ def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
             return None
         u, v = edges[i]
         # include branch
-        if dsu.find(u) != dsu.find(v):
-            snap = dsu.snapshot()
-            dsu.union(u, v)
+        ru, rv = dsu.find(u), dsu.find(v)
+        if ru != rv:
+            dsu.parent[ru] = rv
             deg[u] += 1
             deg[v] += 1
             undecided[u] -= 1
@@ -220,7 +217,7 @@ def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
             deg[v] -= 1
             undecided[u] += 1
             undecided[v] += 1
-            dsu.restore(snap)
+            dsu.parent[ru] = ru
         # exclude branch
         undecided[u] -= 1
         undecided[v] -= 1

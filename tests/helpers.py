@@ -17,7 +17,6 @@ import networkx as nx
 from burnkit import (
     BurningSchedule,
     Graph,
-    ModifiedSchedule,
     Tree,
     augment_degree2,
     build_graph,
@@ -227,7 +226,7 @@ def naive_modified_burning_number(
     for k in range(1, g.n + 1):
         for seq in itertools.product(range(g.n), repeat=k):
             bm = simulate_modified(
-                g, ModifiedSchedule(preburn=preburn, sources=seq)
+                g, BurningSchedule(preburn=preburn, sources=seq)
             )
             if is_complete(bm):
                 return k, seq

@@ -21,13 +21,11 @@ from burnkit import (
     internal_vertex_count,
     is_complete,
     lift_schedule,
-    modified_burning_number_exact,
     simulate,
     simulate_modified,
     smooth,
     sqrt_ceil,
     tree_schedule_via_augmentation,
-    ModifiedSchedule,
 )
 from burnkit.bench import bound_competing, bound_leaf_augmentation
 from burnkit.generators import path_graph, petersen_graph, random_hit
@@ -128,7 +126,7 @@ def test_criterion_6_smoothing_lift():
             lifted = lift_schedule(t, v, sched)
             bm = simulate_modified(t.graph, lifted)
             ok &= is_complete(bm) and bm.completion <= len(sched)
-        ok &= modified_burning_number_exact(t.graph, (v,))[0] <= k_opt
+        ok &= burning_number_exact(t.graph, preburn=(v,))[0] <= k_opt
     report("6. smoothing lift preserves completeness on 300 instances", ok)
 
 
@@ -173,7 +171,7 @@ def test_criterion_9_closed_form_oracle():
             rng.randrange(g.n) for _ in range(rng.randint(1, 5))
         )
         preburn = tuple(v for v in range(g.n) if rng.random() < 0.15)
-        sched = ModifiedSchedule(preburn=preburn, sources=sources)
+        sched = BurningSchedule(preburn=preburn, sources=sources)
         ok &= simulate_modified(g, sched) == closed_form_rounds(g, sched)
     report("9. simulation equals closed form on 10000 random pairs", ok)
 

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from burnkit import (
     BurningSchedule,
-    ModifiedSchedule,
     build_graph,
     build_tree,
     burning_number_exact,
     closed_form_rounds,
     is_complete,
-    modified_burning_number_exact,
     schedule_from_json_dict,
     simulate,
     simulate_modified,
@@ -65,11 +63,11 @@ def test_simulate_rejects_bad_source():
 
 def test_simulate_modified_p3():
     bm = simulate_modified(
-        path_graph(3), ModifiedSchedule(preburn=(1,), sources=(0,))
+        path_graph(3), BurningSchedule(preburn=(1,), sources=(0,))
     )
     assert bm.rounds == (1, 1, None)
     bm = simulate_modified(
-        path_graph(3), ModifiedSchedule(preburn=(1,), sources=(0, 0))
+        path_graph(3), BurningSchedule(preburn=(1,), sources=(0, 0))
     )
     assert bm.rounds == (1, 1, 2) and bm.completion == 2
 
@@ -81,7 +79,7 @@ def test_simulate_modified_empty_preburn_degenerates():
         sources = tuple(rng.randrange(g.n) for _ in range(rng.randint(1, 4)))
         plain = simulate(g, BurningSchedule(sources=sources))
         modified = simulate_modified(
-            g, ModifiedSchedule(preburn=(), sources=sources)
+            g, BurningSchedule(preburn=(), sources=sources)
         )
         assert plain == modified
 
@@ -89,7 +87,7 @@ def test_simulate_modified_empty_preburn_degenerates():
 def test_simulate_modified_preburned_center():
     # 3-vertex path with its center preburned
     t = build_tree(3, [(0, 1), (1, 2)])
-    bm = simulate_modified(t.graph, ModifiedSchedule(preburn=(1,), sources=(0, 0)))
+    bm = simulate_modified(t.graph, BurningSchedule(preburn=(1,), sources=(0, 0)))
     assert is_complete(bm) and bm.completion == 2
 
 
@@ -109,7 +107,7 @@ def graph_and_schedule(draw):
     preburn = tuple(
         v for v in range(n) if draw(st.booleans()) and draw(st.booleans())
     )
-    return g, ModifiedSchedule(preburn=preburn, sources=sources)
+    return g, BurningSchedule(preburn=preburn, sources=sources)
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,7 +122,7 @@ def test_simulation_matches_closed_form(case):
 def test_appending_source_never_delays(case, extra):
     g, sched = case
     before = simulate_modified(g, sched).rounds
-    longer = ModifiedSchedule(
+    longer = BurningSchedule(
         preburn=sched.preburn, sources=sched.sources + (extra % g.n,)
     )
     after = simulate_modified(g, longer).rounds
@@ -161,23 +159,23 @@ def test_exact_rejects_empty_graph():
         burning_number_exact(build_graph(0, []))
 
 
-def test_modified_exact_p3_center():
-    k, witness = modified_burning_number_exact(path_graph(3), (1,))
+def test_exact_preburn_p3_center():
+    k, witness = burning_number_exact(path_graph(3), preburn=(1,))
     assert k == 2
 
 
-def test_modified_exact_empty_preburn_equals_standard():
+def test_exact_empty_preburn_equals_standard():
     rng = random.Random(5)
     for _ in range(15):
         g = random_connected_graph(rng.randint(1, 9), rng)
         k1, w1 = burning_number_exact(g)
-        k2, w2 = modified_burning_number_exact(g, ())
+        k2, w2 = burning_number_exact(g, preburn=())
         assert k1 == k2 and w1.sources == w2.sources
 
 
-def test_modified_exact_k2_preburned_endpoint():
+def test_exact_preburned_k2_endpoint():
     # sources range over all vertices, so (1) finishes K2 in one round
-    k, witness = modified_burning_number_exact(build_graph(2, [(0, 1)]), (0,))
+    k, witness = burning_number_exact(build_graph(2, [(0, 1)]), preburn=(0,))
     assert k == 1 and witness.sources == (1,)
 
 
@@ -192,7 +190,7 @@ def test_smoothing_lift_inequality_random():
             continue
         v = deg2[0]
         smoothed, _ = smooth(t, v)
-        k_mod = modified_burning_number_exact(t.graph, (v,))[0]
+        k_mod = burning_number_exact(t.graph, preburn=(v,))[0]
         k_smooth = burning_number_exact(smoothed.graph)[0]
         assert k_mod <= k_smooth
         checked += 1
@@ -213,9 +211,15 @@ def test_exact_matches_naive_on_atlas_n5():
 def test_schedule_json_round_trip():
     plain = BurningSchedule(sources=(1, 3))
     assert schedule_from_json_dict(plain.to_json_dict()) == plain
-    mod = ModifiedSchedule(preburn=(2,), sources=(0, 1))
+    mod = BurningSchedule(preburn=(2,), sources=(0, 1))
     assert schedule_from_json_dict(mod.to_json_dict()) == mod
     assert schedule_from_json_dict({"sources": [0]}) == BurningSchedule(sources=(0,))
+
+
+def test_schedule_json_has_preburn_only_when_set():
+    assert BurningSchedule(sources=(1, 3)).to_json_dict() == {"sources": [1, 3]}
+    mod = BurningSchedule(sources=(0,), preburn=(2, 1, 2))
+    assert mod.to_json_dict() == {"sources": [0], "preburn": [1, 2]}
 
 
 @pytest.mark.parametrize(
@@ -251,7 +255,7 @@ def test_tree_search_matches_reference_dfs():
         preburn = ()
         if i % 3 == 0:
             preburn = tuple(sorted(rng.sample(range(n), rng.randint(1, 1 + n // 4))))
-        k, witness = modified_burning_number_exact(g, preburn)
+        k, witness = burning_number_exact(g, preburn=preburn)
         assert witness.sources == reference_search_depth(g, k, preburn)
         for depth in (k - 1, k + 1):
             if depth >= 1:
@@ -269,7 +273,7 @@ def test_tree_witness_matches_naive_on_all_small_trees():
             k, witness = burning_number_exact(h)
             assert (k, witness.sources) == naive_burning_number(h)
             preburn = tuple(sorted(rng.sample(range(h.n), rng.randint(1, h.n))))
-            k, witness = modified_burning_number_exact(h, preburn)
+            k, witness = burning_number_exact(h, preburn=preburn)
             assert (k, witness.sources) == naive_modified_burning_number(h, preburn)
 
 

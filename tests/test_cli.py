@@ -253,6 +253,18 @@ def test_bench_rejects_malformed_spec(capsys, tmp_path, spec):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, p4_file, command):
+    # nested deeper than json.load can recurse
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["verify", p4_file, str(path)] if command == "verify" else ["bench", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_bench_limit_flag_overrides_spec(capsys, tmp_path):
     spec = tmp_path / "bench.json"
     spec.write_text(json.dumps({"families": [{"family": "path", "sizes": [9]}]}))

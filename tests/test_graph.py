@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import burnkit.graph
 from burnkit import (
     Tree,
     bridge_component,
@@ -23,6 +24,7 @@ from burnkit.errors import (
     Unreachable,
 )
 from burnkit.generators import petersen_graph, star_graph
+from burnkit.graph import MAX_VERTICES
 
 from helpers import enumerate_hits, eight_vertex_hit, random_tree_rng
 
@@ -200,3 +202,13 @@ def test_parse_rejects_garbage():
         parse_edge_list("3 1\n0\n")
     with pytest.raises(MalformedEdge):
         parse_edge_list("x y\n")
+
+
+def test_parse_rejects_vertex_count_above_cap_before_building(monkeypatch):
+    def build_graph_not_reached(n, edges):
+        raise AssertionError("header above the cap reached build_graph")
+
+    monkeypatch.setattr(burnkit.graph, "build_graph", build_graph_not_reached)
+    for header in (f"{MAX_VERTICES + 1} 0\n", "1000000000 0\n"):
+        with pytest.raises(MalformedEdge, match="exceeds the cap"):
+            parse_edge_list(header)
