@@ -8,21 +8,19 @@ set U, burned in round 1: the modified process.
 
 The exact solver is iterative deepening on k. Completeness of a length-k
 schedule is equivalent, by the closed form burn_round(v) = min_i(i + d(v, x_i)),
-to the distance balls B(x_i, k-i) covering all vertices. Both searches prune a
-state when the uncovered vertices outnumber the best-case coverage of the
-remaining ball radii, and both return the lexicographically smallest optimal
-schedule as the witness.
-
-On a tree the search works on sets of free radii rather than on positions.
-Rooted at vertex 0, the deepest uncovered vertex u must lie in some ball
-B(x, r), and B(a, r), with a the r-th ancestor of u (or the root), covers every
-uncovered vertex that B(x, r) covers (Slater, R-domination in graphs, 1976).
-So a covering exists iff one exists that uses B(a, r) for some free r, and the
-prover branches only on those at most k balls, remembering every state
-(covered set, free radii) that failed. The witness is then fixed one position
-at a time: the lowest vertex whose ball leaves a state the prover accepts.
-Graphs with cycles use a depth-first search over source lists in ascending id
-order, whose first hit is the lexicographically smallest witness.
+to the distance balls B(x_i, k-i) covering all vertices. One prover decides
+each k on sets of free radii rather than on positions. Rooted at vertex 0 by
+BFS, the deepest uncovered vertex u must lie in some ball B(x, r) with r free,
+and a covering keeps working when that ball is swapped for one that covers at
+least the same uncovered vertices. So for each free r the prover branches
+only on the radius-r balls containing u whose uncovered parts no other such
+ball's part contains. On a tree that is the single ball B(a, r), with a the
+r-th ancestor of u or the root (Slater, R-domination in graphs, 1976). States
+whose uncovered vertices outnumber the best-case coverage of the free radii
+are pruned, and every state (covered set, free radii) that failed is
+remembered. The witness is then fixed one position at a time: the lowest
+vertex whose ball leaves a state the prover accepts, which makes it the
+lexicographically smallest optimal schedule.
 """
 
 from __future__ import annotations
@@ -184,87 +182,56 @@ def _balls_by_radius(
         maxcov.append(max(mask.bit_count() for mask in layer))
 
 
-def _search_depth(
-    g: Graph,
-    k: int,
-    preburn: tuple[int, ...],
-    balls: list[list[int]],
-    maxcov: list[int],
-) -> tuple[int, ...] | None:
-    """First (lexicographically smallest) source list of length k whose balls,
-    together with the preburn set's radius-(k-1) balls, cover all vertices.
-    None if none. Grows the shared ball layers to radius k-1 first."""
-    _balls_by_radius(g, k - 1, balls, maxcov)
-    full = (1 << g.n) - 1
-    initial = 0
-    for v in preburn:
-        initial |= balls[k - 1][v]
-    # remaining_cap[i] = best-case coverage of positions i+1..k
-    remaining_cap = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        remaining_cap[i] = remaining_cap[i + 1] + maxcov[k - 1 - i]
-    prefix: list[int] = []
-
-    def dfs(pos: int, covered: int) -> bool:
-        if covered == full:
-            prefix.extend([0] * (k - pos))
-            return True
-        if pos == k:
-            return False
-        if (full ^ covered).bit_count() > remaining_cap[pos]:
-            return False
-        radius = k - 1 - pos
-        layer = balls[radius]
-        for v in range(g.n):
-            prefix.append(v)
-            if dfs(pos + 1, covered | layer[v]):
-                return True
-            prefix.pop()
-        return False
-
-    if dfs(0, initial):
-        return tuple(prefix)
-    return None
-
-
-def _rooted_levels(g: Graph) -> tuple[list[int], list[list[int]]]:
-    """Root the tree g at vertex 0 by BFS: one bitmask of vertices per
-    depth, and the ancestor tables [identity, parent], the root being its
-    own parent."""
+def _rooted_levels(g: Graph) -> tuple[list[int], list[list[int]] | None]:
+    """Root the connected graph g at vertex 0 by BFS: one bitmask of
+    vertices per depth and, when g is a tree, the ancestor tables
+    [identity, parent], the root being its own parent; None otherwise."""
     parent = list(range(g.n))
-    levels = [1]
-    seen = 1
+    levels = []
+    seen = level = 1
     frontier = [0]
-    while True:
+    while frontier:
+        levels.append(level)
+        level = 0
         nxt = []
         for u in frontier:
             for w in g.adj[u]:
-                if not seen >> w & 1:
-                    seen |= 1 << w
+                bit = 1 << w
+                if not seen & bit:
+                    seen |= bit
+                    level |= bit
                     parent[w] = u
                     nxt.append(w)
-        if not nxt:
-            return levels, [list(range(g.n)), parent]
-        levels.append(sum(1 << w for w in nxt))
         frontier = nxt
+    return levels, [list(range(g.n)), parent] if g.m == g.n - 1 else None
 
 
-def _tree_feasible(
-    covered: int,
-    free: int,
-    cap: int,
-    full: int,
-    k: int,
-    levels: list[int],
-    ancestors: list[list[int]],
-    balls: list[list[int]],
-    maxcov: list[int],
-    failed: set[int],
-) -> bool:
+def _maximal_parts(layer: list[int], u: int, unc: int) -> list[int]:
+    """The distinct sets layer[c] & unc over the centres c of layer[u],
+    largest first, less any set that another one contains."""
+    parts = set()
+    centres = layer[u]
+    while centres:
+        low = centres & -centres
+        parts.add(layer[low.bit_length() - 1] & unc)
+        centres ^= low
+    kept: list[int] = []
+    for part in sorted(parts, key=int.bit_count, reverse=True):
+        # a kept set is at least as large, so only it can contain part
+        if all(part & other != part for other in kept):
+            kept.append(part)
+    return kept
+
+
+def _feasible(covered: int, free: int, cap: int, state: tuple) -> bool:
     """Whether one ball of each radius in the bitmask free can cover the
-    rest of the tree; cap is the sum of maxcov over those radii. Only the
-    ball around the r-th ancestor of the deepest uncovered vertex is tried
-    for each radius r, largest first. Failed states are added to failed."""
+    rest of the graph; cap is the sum of maxcov over those radii, and state
+    is _search_depth's (full, k, levels, ancestors, balls, maxcov, failed).
+    For each radius r, largest first, only balls that cover the deepest
+    uncovered vertex u are tried: on a tree the ball around u's r-th
+    ancestor, else the balls whose uncovered parts no other such ball's
+    part contains. Failed states are added to failed."""
+    full, k, levels, ancestors, balls, maxcov, failed = state
     if covered == full:
         return True
     unc = full ^ covered
@@ -282,38 +249,36 @@ def _tree_feasible(
     while rest:
         r = rest.bit_length() - 1
         rest ^= 1 << r
-        if _tree_feasible(
-            covered | balls[r][ancestors[r][u]],
-            free ^ (1 << r),
-            cap - maxcov[r],
-            full,
-            k,
-            levels,
-            ancestors,
-            balls,
-            maxcov,
-            failed,
-        ):
-            return True
+        free_r = free ^ (1 << r)
+        cap_r = cap - maxcov[r]
+        if ancestors is not None:
+            if _feasible(covered | balls[r][ancestors[r][u]], free_r, cap_r, state):
+                return True
+        else:
+            for part in _maximal_parts(balls[r], u, unc):
+                if _feasible(covered | part, free_r, cap_r, state):
+                    return True
     failed.add(key)
     return False
 
 
-def _tree_search_depth(
+def _search_depth(
     g: Graph,
     k: int,
     preburn: tuple[int, ...],
     balls: list[list[int]],
     maxcov: list[int],
     levels: list[int],
-    ancestors: list[list[int]],
+    ancestors: list[list[int]] | None,
 ) -> tuple[int, ...] | None:
-    """_search_depth for a tree g rooted by _rooted_levels, with the same
-    result. Decides k with _tree_feasible, then fixes each position in turn
-    to the lowest vertex that leaves a feasible state. Grows the shared
-    ball layers and ancestors[r][v], the r-th ancestor of v, to radius k-1."""
+    """First (lexicographically smallest) source list of length k whose balls,
+    together with the preburn set's radius-(k-1) balls, cover all vertices;
+    None if none. levels and ancestors come from _rooted_levels(g). Decides
+    k with _feasible, then fixes each position in turn to the lowest vertex
+    that leaves a feasible state. Grows the shared ball layers and, on a
+    tree, ancestors[r][v], the r-th ancestor of v, to radius k-1."""
     _balls_by_radius(g, k - 1, balls, maxcov)
-    while len(ancestors) < k:
+    while ancestors is not None and len(ancestors) < k:
         parent = ancestors[1]
         ancestors.append([parent[a] for a in ancestors[-1]])
     full = (1 << g.n) - 1
@@ -324,7 +289,7 @@ def _tree_search_depth(
     cap = sum(maxcov[:k])
     # one set of failed states, shared by every prover call at this depth
     state = (full, k, levels, ancestors, balls, maxcov, set())
-    if not _tree_feasible(covered, free, cap, *state):
+    if not _feasible(covered, free, cap, state):
         return None
     witness = []
     for radius in range(k - 1, -1, -1):
@@ -332,14 +297,10 @@ def _tree_search_depth(
         cap -= maxcov[radius]
         layer = balls[radius]
         v = next(
-            (
-                v
-                for v in range(g.n)
-                if _tree_feasible(covered | layer[v], free, cap, *state)
-            ),
+            (v for v in range(g.n) if _feasible(covered | layer[v], free, cap, state)),
             None,
         )
-        certify(v is not None, "a feasible tree state must admit a next source")
+        certify(v is not None, "a feasible state must admit a next source")
         witness.append(v)
         covered |= layer[v]
     return tuple(witness)
@@ -361,12 +322,9 @@ def burning_number_exact(
     # one set of ball layers, grown a radius per depth k
     balls: list[list[int]] = []
     maxcov: list[int] = []
-    rooted = _rooted_levels(g) if g.m == g.n - 1 else None
+    rooted = _rooted_levels(g)
     for k in range(1, g.n + 1):
-        if rooted is None:
-            witness = _search_depth(g, k, preburn, balls, maxcov)
-        else:
-            witness = _tree_search_depth(g, k, preburn, balls, maxcov, *rooted)
+        witness = _search_depth(g, k, preburn, balls, maxcov, *rooted)
         if witness is not None:
             found = BurningSchedule(sources=witness, preburn=preburn)
             bm = simulate_modified(g, found)

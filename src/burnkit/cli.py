@@ -1,6 +1,7 @@
 """Command-line surface. Graphs travel as edge-list files, schedules and
 plans as JSON. Exit codes: 0 success, 1 verification failure, 2 input error,
-3 internal error (a result failed burnkit's own verification).
+3 internal error (a result failed burnkit's own verification, or burnkit
+crashed; a crash prints its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 
 from .bench import records_to_csv, run_bench, summarize
 from .burning import (
@@ -234,6 +236,10 @@ def main(argv: list[str] | None = None) -> int:
     except (BurnkitError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InternalError) else 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -79,7 +79,8 @@ def build_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
         seen.add(key)
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in adj), m=len(seen))
+    # from a list: tuple(generator) resizes, piling tuples on CPython's free lists
+    return Graph(n=n, adj=tuple([tuple(sorted(s)) for s in adj]), m=len(seen))
 
 
 def distance(g: Graph, u: int, v: int) -> int:
@@ -115,8 +116,9 @@ class Tree:
             leaves: tuple[int, ...] = ()
             internal: tuple[int, ...] = ()
         else:
-            leaves = tuple(v for v in range(g.n) if g.degree(v) == 1)
-            internal = tuple(v for v in range(g.n) if g.degree(v) >= 2)
+            # from lists, as in build_graph
+            leaves = tuple([v for v in range(g.n) if g.degree(v) == 1])
+            internal = tuple([v for v in range(g.n) if g.degree(v) >= 2])
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "internal", internal)
 

@@ -13,6 +13,7 @@ from typing import Iterator
 from .burning import (
     BurningSchedule,
     DEFAULT_EXACT_LIMIT,
+    _rooted_levels,
     _search_depth,
     burning_number_exact,
     is_complete,
@@ -97,6 +98,33 @@ def _spans(n: int, edges: list[tuple[int, int]]) -> bool:
     return comps == 1
 
 
+def _spanning_trees(
+    n: int,
+    edges: list[tuple[int, int]],
+    i: int,
+    chosen: list[tuple[int, int]],
+    dsu: _DSU,
+) -> Iterator[Tree]:
+    """Every spanning tree made of chosen plus some of edges[i:], in
+    include-first order; dsu joins the chosen edges."""
+    if len(chosen) == n - 1:
+        yield build_tree(n, chosen)
+        return
+    if i == len(edges):
+        return
+    if not _spans(n, chosen + edges[i:]):
+        return
+    u, v = edges[i]
+    ru, rv = dsu.find(u), dsu.find(v)
+    if ru != rv:
+        dsu.parent[ru] = rv
+        chosen.append(edges[i])
+        yield from _spanning_trees(n, edges, i + 1, chosen, dsu)
+        chosen.pop()
+        dsu.parent[ru] = ru
+    yield from _spanning_trees(n, edges, i + 1, chosen, dsu)
+
+
 def enumerate_spanning_trees(
     g: Graph, limit: int = DEFAULT_TREE_LIMIT
 ) -> Iterator[Tree]:
@@ -107,27 +135,7 @@ def enumerate_spanning_trees(
     count = matrix_tree_count(g)
     if count > limit:
         raise TooMany(f"{count} spanning trees exceed limit {limit}")
-    edges = g.edges()
-
-    def rec(i: int, chosen: list[tuple[int, int]], dsu: _DSU) -> Iterator[Tree]:
-        if len(chosen) == g.n - 1:
-            yield build_tree(g.n, chosen)
-            return
-        if i == len(edges):
-            return
-        if not _spans(g.n, chosen + edges[i:]):
-            return
-        u, v = edges[i]
-        ru, rv = dsu.find(u), dsu.find(v)
-        if ru != rv:
-            dsu.parent[ru] = rv
-            chosen.append(edges[i])
-            yield from rec(i + 1, chosen, dsu)
-            chosen.pop()
-            dsu.parent[ru] = ru
-        yield from rec(i + 1, chosen, dsu)
-
-    yield from rec(0, [], _DSU(g.n))
+    yield from _spanning_trees(g.n, g.edges(), 0, [], _DSU(g.n))
 
 
 def burning_number_via_spanning_trees(
@@ -148,7 +156,9 @@ def burning_number_via_spanning_trees(
     first = next(trees, None)
     target, _ = burning_number_exact(g, limit=exact_limit)
     for tree in itertools.chain((first,), trees):
-        witness = _search_depth(tree.graph, target, (), [], [])
+        witness = _search_depth(
+            tree.graph, target, (), [], [], *_rooted_levels(tree.graph)
+        )
         if witness is not None:
             sched = BurningSchedule(sources=witness)
             bm = simulate(tree.graph, sched)
@@ -167,6 +177,53 @@ class HistResult:
     nodes_expanded: int
 
 
+def _frozen_bad(v: int, deg: list[int], undecided: list[int]) -> bool:
+    return undecided[v] == 0 and (deg[v] == 2 or deg[v] == 0)
+
+
+def _hist_search(i: int, chosen: list[tuple[int, int]], state: tuple) -> Tree | None:
+    """First HIST made of chosen plus some of edges[i:], in include/exclude
+    order. state is (edges, dsu, deg, undecided, nodes): deg and undecided
+    count each vertex's chosen and undecided edges, nodes[0] the calls."""
+    edges, dsu, deg, undecided, nodes = state
+    n = len(deg)
+    nodes[0] += 1
+    if len(chosen) == n - 1:
+        tree = build_tree(n, chosen)
+        return tree if is_hit(tree) else None
+    if i == len(edges):
+        return None
+    if not _spans(n, chosen + edges[i:]):
+        return None
+    u, v = edges[i]
+    # include branch
+    ru, rv = dsu.find(u), dsu.find(v)
+    if ru != rv:
+        dsu.parent[ru] = rv
+        deg[u] += 1
+        deg[v] += 1
+        undecided[u] -= 1
+        undecided[v] -= 1
+        if not (_frozen_bad(u, deg, undecided) or _frozen_bad(v, deg, undecided)):
+            result = _hist_search(i + 1, chosen + [edges[i]], state)
+            if result is not None:
+                return result
+        deg[u] -= 1
+        deg[v] -= 1
+        undecided[u] += 1
+        undecided[v] += 1
+        dsu.parent[ru] = ru
+    # exclude branch
+    undecided[u] -= 1
+    undecided[v] -= 1
+    result = None
+    if not (_frozen_bad(u, deg, undecided) or _frozen_bad(v, deg, undecided)):
+        result = _hist_search(i + 1, chosen, state)
+    undecided[u] += 1
+    undecided[v] += 1
+    return result
+
+
 def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
     """Exhaustive include/exclude search over the canonical edge order for a
     spanning tree without degree-2 vertices.
@@ -182,57 +239,13 @@ def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
         raise Disconnected("HIST search requires a connected graph")
     if g.n == 1:
         return HistResult(found=True, tree=build_tree(1, []), nodes_expanded=1)
-    edges = g.edges()
-    deg = [0] * g.n
+    nodes = [0]
     undecided = [g.degree(v) for v in range(g.n)]
-    nodes = 0
-
-    def frozen_bad(v: int) -> bool:
-        return undecided[v] == 0 and (deg[v] == 2 or deg[v] == 0)
-
-    def rec(i: int, chosen: list[tuple[int, int]], dsu: _DSU) -> Tree | None:
-        nonlocal nodes
-        nodes += 1
-        if len(chosen) == g.n - 1:
-            tree = build_tree(g.n, chosen)
-            return tree if is_hit(tree) else None
-        if i == len(edges):
-            return None
-        if not _spans(g.n, chosen + edges[i:]):
-            return None
-        u, v = edges[i]
-        # include branch
-        ru, rv = dsu.find(u), dsu.find(v)
-        if ru != rv:
-            dsu.parent[ru] = rv
-            deg[u] += 1
-            deg[v] += 1
-            undecided[u] -= 1
-            undecided[v] -= 1
-            if not (frozen_bad(u) or frozen_bad(v)):
-                result = rec(i + 1, chosen + [edges[i]], dsu)
-                if result is not None:
-                    return result
-            deg[u] -= 1
-            deg[v] -= 1
-            undecided[u] += 1
-            undecided[v] += 1
-            dsu.parent[ru] = ru
-        # exclude branch
-        undecided[u] -= 1
-        undecided[v] -= 1
-        result = None
-        if not (frozen_bad(u) or frozen_bad(v)):
-            result = rec(i + 1, chosen, dsu)
-        undecided[u] += 1
-        undecided[v] += 1
-        return result
-
-    tree = rec(0, [], _DSU(g.n))
+    tree = _hist_search(0, [], (g.edges(), _DSU(g.n), [0] * g.n, undecided, nodes))
     if tree is None:
-        return HistResult(found=False, tree=None, nodes_expanded=nodes)
+        return HistResult(found=False, tree=None, nodes_expanded=nodes[0])
     certify(is_hit(tree), "HIST search must return a HIT")
-    return HistResult(found=True, tree=tree, nodes_expanded=nodes)
+    return HistResult(found=True, tree=tree, nodes_expanded=nodes[0])
 
 
 def hist_bound(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> CertifiedPlan | None:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -24,7 +25,12 @@ from burnkit.errors import (
     TooLarge,
     TooSmall,
 )
-from burnkit.burning import _rooted_levels, _tree_search_depth
+from burnkit.burning import (
+    _balls_by_radius,
+    _maximal_parts,
+    _rooted_levels,
+    _search_depth,
+)
 from burnkit.generators import path_graph, petersen_graph, random_tree, spider_graph
 
 from helpers import (
@@ -244,14 +250,19 @@ def test_burn_map_json_uses_zero_for_unburned():
     assert d["rounds"] == [1, 0, 0, 0] and d["completion"] == 0
 
 
-def test_tree_search_matches_reference_dfs():
-    # relabelled random trees, every third with a preburn set, at k-1, k
-    # and k+1: the tree prover and position-by-position witness give the
-    # depth-first search's result, lex-smallest witness or None
+def test_search_matches_reference_dfs():
+    # relabelled random trees (n <= 40) and graphs with cycles (n <= 22),
+    # every third with a preburn set, at k-1, k and k+1: the prover and
+    # position-by-position witness give the depth-first search's result,
+    # lex-smallest witness or None
     rng = random.Random(41)
-    for i in range(1200):
-        n = rng.randint(1, 40)
-        g = relabel(random_tree_rng(n, rng).graph, rng)
+    for i in range(1500):
+        if i % 5 < 4:
+            n = rng.randint(1, 40)
+            g = relabel(random_tree_rng(n, rng).graph, rng)
+        else:
+            n = rng.randint(1, 22)
+            g = relabel(random_connected_graph(n, rng), rng)
         preburn = ()
         if i % 3 == 0:
             preburn = tuple(sorted(rng.sample(range(n), rng.randint(1, 1 + n // 4))))
@@ -259,8 +270,23 @@ def test_tree_search_matches_reference_dfs():
         assert witness.sources == reference_search_depth(g, k, preburn)
         for depth in (k - 1, k + 1):
             if depth >= 1:
-                found = _tree_search_depth(g, depth, preburn, [], [], *_rooted_levels(g))
+                found = _search_depth(g, depth, preburn, [], [], *_rooted_levels(g))
                 assert found == reference_search_depth(g, depth, preburn)
+
+
+def test_maximal_parts_keep_only_uncontained_sets():
+    # a triangle 0-1-2 with pendant 3 on 0: B(0, 1) contains the other balls
+    # of radius 1 around vertex 1; on the 5-cycle no ball contains another
+    triangle = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    cycle = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    balls, maxcov = [], []
+    _balls_by_radius(triangle, 1, balls, maxcov)
+    assert _maximal_parts(balls[1], 1, 0b1111) == [0b1111]
+    assert _maximal_parts(balls[1], 1, 0b0110) == [0b0110]
+    balls, maxcov = [], []
+    _balls_by_radius(cycle, 1, balls, maxcov)
+    parts = _maximal_parts(balls[1], 0, 0b11111)
+    assert sorted(parts) == [0b00111, 0b10011, 0b11001]
 
 
 def test_tree_witness_matches_naive_on_all_small_trees():
@@ -290,6 +316,20 @@ def test_exact_relabelled_spiders(legs):
         assert witness.sources == (hub,) + (0,) * legs[0]
 
 
+@pytest.mark.parametrize("seed, hub", [(0, 29), (1, 2), (2, 15)])
+def test_exact_relabelled_one_cycle_spiders(seed, hub):
+    # a spider plus one edge: the depth-first search took 0.9 s to 24 s on
+    # these relabellings, and the witnesses are its results
+    rng = random.Random(seed)
+    spider = spider_graph([5] * 10)
+    extra = tuple(sorted(rng.sample(range(spider.n), 2)))
+    g = relabel(build_graph(spider.n, spider.edges() + [extra]), rng)
+    start = time.perf_counter()
+    k, witness = burning_number_exact(g)
+    assert time.perf_counter() - start < 1.0
+    assert (k, witness.sources) == (6, (hub, 0, 0, 0, 0, 0))
+
+
 def test_exact_random_tree_80():
     # witness of the depth-first search, which takes about 20 s on it
     k, witness = burning_number_exact(random_tree(80, 1).graph, limit=80)
@@ -300,8 +340,13 @@ def test_exact_random_tree_80():
 @given(
     st.integers(min_value=1, max_value=30),
     st.integers(min_value=0, max_value=2**20),
+    st.booleans(),
     st.randoms(use_true_random=False),
 )
-def test_exact_tree_burning_number_is_label_free(n, seed, perm_rng):
-    g = random_tree(n, seed).graph
+def test_exact_burning_number_is_label_free(n, seed, cycles, perm_rng):
+    # a random tree (n <= 30), or a random graph with cycles (n <= 20)
+    if cycles:
+        g = random_connected_graph(min(n, 20), random.Random(seed))
+    else:
+        g = random_tree(n, seed).graph
     assert burning_number_exact(relabel(g, perm_rng))[0] == burning_number_exact(g)[0]

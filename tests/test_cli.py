@@ -283,3 +283,15 @@ def test_internal_failure_exits_three(capsys, monkeypatch, hit8_file):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "error: construction must burn the whole tree\n"
+
+
+def test_crash_exits_three_with_traceback(capsys, monkeypatch, hit8_file):
+    def crashing(tree):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(burnkit.cli, "hit_schedule", crashing)
+    code = main(["hit-plan", hit8_file])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("internal error: TypeError: unsupported operand\n")

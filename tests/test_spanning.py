@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from burnkit import (
     simulate,
     sqrt_ceil,
 )
-from burnkit.burning import _search_depth
+from burnkit.burning import _rooted_levels, _search_depth
 from burnkit.errors import Disconnected, TooLarge, TooMany
 from burnkit.generators import path_graph, petersen_graph, spider_graph, star_graph
 
@@ -127,8 +128,9 @@ def test_search_depth_at_and_below_burning_number():
     graphs += [spider_graph([3, 3, 2]), petersen_graph(), grid_graph(3, 4)]
     for g in graphs:
         k, sched = burning_number_exact(g)
-        assert _search_depth(g, k, (), [], []) == sched.sources
-        assert _search_depth(g, k - 1, (), [], []) is None
+        rooted = _rooted_levels(g)
+        assert _search_depth(g, k, (), [], [], *rooted) == sched.sources
+        assert _search_depth(g, k - 1, (), [], [], *rooted) is None
 
 
 def test_subtree_lemma_equality_random():
@@ -214,3 +216,18 @@ def test_hist_bound_sound_on_random_graphs():
             assert not find_hist(g).found
         else:
             assert burning_number_exact(g)[0] <= len(plan.schedule) <= plan.bound
+
+
+def test_solvers_leave_no_reference_cycles():
+    # a self-calling nested function makes a reference cycle on every call,
+    # and only the cyclic collector frees it
+    gc.collect()
+    gc.disable()
+    try:
+        burning_number_exact(spider_graph([3, 3, 2]))
+        burning_number_exact(petersen_graph())
+        find_hist(wheel_graph(8))
+        burning_number_via_spanning_trees(grid_graph(3, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
