@@ -1,11 +1,15 @@
 """Constructive burning schedules for trees without degree-2 vertices.
 
-The pipeline: an anchor search locates a vertex x all of whose neighbor-side
-components are small except one heavy side; the recursion burns x first, then
-handles the heavy neighbor's side, smoothing the cut vertex when it drops to
-degree 2 and lifting the sub-schedule back across the smoothing. Every
-constructive step re-verifies its output by simulation, so the ceil(sqrt(n))
-guarantee is an executable contract rather than a trusted proof.
+The paper's induction for a HIT: an anchor search locates a vertex x all of
+whose neighbor-side components are small except the one across an edge xy;
+x burns first, and y's side is planned next, with y smoothed away when it
+drops to degree 2 and the schedule lifted back with y preburned.
+hit_schedule runs that induction as a descent loop and an ascent loop over
+one mutable adjacency on the input's vertex ids, cutting, smoothing and then
+undoing, with no Tree built below the input and no recursion. Every level
+re-verifies its schedule by burning it, and the final plan is checked by
+simulation, so the ceil(sqrt(n)) guarantee is an executable contract rather
+than a trusted proof.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     TooSmall,
     certify,
 )
-from .graph import Tree, bridge_component, build_tree, is_hit, smooth
+from .graph import Tree, build_tree, is_hit, smooth
 
 
 def sqrt_ceil(n: int) -> int:
@@ -55,6 +59,7 @@ class Anchor:
         return self.side_sizes[:-1]
 
 
+# Unused by burnkit: kept only for perfbench/tracing.py until ROADMAP item 2.
 def _branch_sizes(t: Tree, x: int) -> dict[int, int]:
     """For each neighbor v of x: size of the component of v after removing x.
 
@@ -76,36 +81,71 @@ def _branch_sizes(t: Tree, x: int) -> dict[int, int]:
     return sizes
 
 
-def find_anchor(t: Tree) -> Anchor:
-    """Walk from the lowest-id leaf toward heavy sides until every side but
-    the one behind us is light (size < 2*ceil(sqrt(n)) - 1)."""
-    n = t.n
-    if n < 6:
-        raise TooSmall(f"anchor search needs n >= 6, got {n}")
-    tau = 2 * sqrt_ceil(n) - 1
-    leaf = t.leaves[0]
-    x, came_from = t.graph.adj[leaf][0], leaf
-    for _ in range(n):
-        sizes = _branch_sizes(t, x)
-        heavy = [v for v in t.graph.adj[x] if v != came_from and sizes[v] >= tau]
+def _rooted(adj, root: int) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """BFS over the component of root in the forest adj: its vertices in BFS
+    order, each vertex's parent (-1 for root) and the size of its subtree."""
+    order = [root]
+    parent = {root: -1}
+    i = 0
+    while i < len(order):
+        u = order[i]
+        i += 1
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    sub = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        sub[parent[v]] += sub[v]
+    return order, parent, sub
+
+
+def _anchor(
+    adj, order: list[int], parent: dict[int, int], sub: dict[int, int]
+) -> Anchor:
+    """The anchor walk on one component, rooted by _rooted (see find_anchor).
+
+    Deleting x leaves the component of a neighbour w with sub[w] vertices
+    when w is a child of x, and with the rest of the tree, s - sub[x], when
+    w is x's parent, so each step reads its side sizes without a search.
+    """
+    s = len(order)
+    tau = 2 * sqrt_ceil(s) - 1
+
+    def side(x: int, w: int) -> int:
+        return sub[w] if parent[w] == x else s - sub[x]
+
+    came_from = min(v for v in order if len(adj[v]) == 1)
+    x = adj[came_from][0]
+    for _ in range(s):
+        heavy = [w for w in adj[x] if w != came_from and side(x, w) >= tau]
         if not heavy:
-            others = tuple(v for v in t.graph.adj[x] if v != came_from)
-            side_sizes = tuple(sizes[v] for v in others) + (n - sizes[came_from],)
+            others = tuple(w for w in adj[x] if w != came_from)
             anchor = Anchor(
                 x=x,
                 y=came_from,
                 neighbors=others + (came_from,),
-                side_sizes=side_sizes,
+                side_sizes=tuple(side(x, w) for w in others)
+                + (s - side(x, came_from),),
                 threshold=tau,
             )
             certify(anchor.heavy_size >= tau, "anchor's heavy side must reach tau")
             certify(
-                all(s < tau for s in anchor.light_sizes),
+                all(size < tau for size in anchor.light_sizes),
                 "anchor's light sides must stay below tau",
             )
             return anchor
         x, came_from = min(heavy), x
     raise CertificationFailed("anchor walk failed to terminate within n steps")
+
+
+def find_anchor(t: Tree) -> Anchor:
+    """Walk from the lowest-id leaf toward heavy sides until every side but
+    the one behind us is light (size < 2*ceil(sqrt(n)) - 1)."""
+    if t.n < 6:
+        raise TooSmall(f"anchor search needs n >= 6, got {t.n}")
+    adj = t.graph.adj
+    return _anchor(adj, *_rooted(adj, 0))
 
 
 def lift_schedule(t: Tree, v: int, s: BurningSchedule) -> BurningSchedule:
@@ -156,74 +196,116 @@ class CertifiedPlan:
         }
 
 
-def _subtree(t: Tree, vertices: tuple[int, ...]) -> tuple[Tree, dict[int, int]]:
-    """Induced subtree on a connected vertex set, with old->new id map."""
-    idmap = {old: new for new, old in enumerate(vertices)}
-    keep = set(vertices)
-    edges = [
-        (idmap[u], idmap[w]) for u, w in t.graph.edges() if u in keep and w in keep
-    ]
-    return build_tree(len(vertices), edges), idmap
-
-
-def _modified_subschedule(t: Tree, y: int) -> BurningSchedule:
-    """Schedule for a heavy side rooted at the already-burning cut vertex y.
-
-    If y has degree 2 in the side, smooth it, solve the resulting HIT, and
-    lift; otherwise the side is itself a HIT and its schedule is reused with
-    y preburned.
-    """
-    if t.n == 1:
-        return BurningSchedule(sources=(y,), preburn=(y,))
-    if t.degree(y) == 2:
-        smoothed, _ = smooth(t, y)
-        return lift_schedule(t, y, hit_schedule(smoothed).schedule)
-    plan = hit_schedule(t)
-    return BurningSchedule(sources=plan.schedule.sources, preburn=(y,))
+def _burn(adj, sources: tuple[int, ...], preburned: int | None = None) -> tuple[int, int]:
+    """Burn the component of the forest adj that holds the sources, with no
+    round limit: the preburned vertex (if any) and sources[0] catch fire in
+    round 1 and sources[i] in round i + 1. Returns the last round in which a
+    vertex caught fire and the number of vertices burned."""
+    new = [sources[0]] if preburned in (None, sources[0]) else [preburned, sources[0]]
+    burnt = set(new)
+    rnd = 1
+    while new:  # the vertices that caught fire in round rnd
+        frontier, new = new, []
+        rnd += 1
+        for u in frontier:
+            for w in adj[u]:
+                if w not in burnt:
+                    burnt.add(w)
+                    new.append(w)
+        if rnd <= len(sources) and sources[rnd - 1] not in burnt:
+            burnt.add(sources[rnd - 1])
+            new.append(sources[rnd - 1])
+    return rnd - 1, len(burnt)
 
 
 def hit_schedule(t: Tree) -> CertifiedPlan:
-    """Burning schedule of length <= ceil(sqrt(n)) for a HIT, by induction:
-    hardcoded bases for n <= 5, then anchor + heavy-side recursion."""
+    """Burning schedule of length <= ceil(sqrt(n)) for a HIT, by the
+    paper's induction run as two loops over one mutable adjacency.
+
+    Descent, while the level (the component being planned) has s >= 6
+    vertices: find the anchor x, y, cut the edge xy, smooth y away when it
+    drops to degree 2 by joining its two neighbours, and plan y's side as
+    the next level. A level of 1, 2, 4 or 5 vertices takes its base
+    schedule. Ascent, from the base up: undo the smoothing and check that
+    y's side with y preburned burns within the schedule, relink xy, put x
+    first, and pad with x (a no-op source) until the level burns or the
+    schedule reaches the level's bound b = ceil(sqrt(s)).
+
+    Every tie goes to the lowest input id, as it would if each level were
+    re-indexed in id order as a tree of its own.
+    """
     if not is_hit(t):
         raise NotAHIT("tree has a degree-2 vertex")
-    n = t.n
-    bound = sqrt_ceil(n)
-    if n == 1:
-        sources: tuple[int, ...] = (0,)
-    elif n == 2:
-        sources = (0, 1)
-    elif n in (4, 5):
-        center = t.internal[0]
-        sources = (center, t.leaves[0])
-    else:
-        anchor = find_anchor(t)
+    adj = [list(nbrs) for nbrs in t.graph.adj]
+    levels: list[tuple[int, int, int, tuple[int, int] | None]] = []
+    root = 0
+    while True:
+        order, parent, sub = _rooted(adj, root)
+        s = len(order)
+        certify(all(len(adj[v]) != 2 for v in order), "every level must be a HIT")
+        if s < 6:
+            break
+        b = sqrt_ceil(s)
+        anchor = _anchor(adj, order, parent, sub)
         x, y = anchor.x, anchor.y
-        x_side = bridge_component(t, x, y)
-        y_side = bridge_component(t, y, x)
+        adj[x].remove(y)
+        adj[y].remove(x)
+        # x's side burns from x alone in 1 + (x's eccentricity in it) rounds
+        x_last, x_size = _burn(adj, (x,))
         # recursion measure from the anchor's heavy-side guarantee
         certify(
-            y_side.size <= n - 2 * bound + 1 <= (bound - 1) ** 2,
+            s - x_size <= s - 2 * b + 1 <= (b - 1) ** 2,
             "heavy side must fit the recursion measure",
         )
-        dist = t.graph.distances_from(x)
-        certify(
-            max(dist[v] for v in x_side.vertices) <= bound - 1,
-            "anchor side must burn from x within the bound",
+        certify(x_last <= b, "anchor side must burn from x within the bound")
+        joined = None
+        root = y
+        if len(adj[y]) == 2:  # smooth y away
+            a, c = adj[y]
+            adj[a][adj[a].index(y)] = c
+            adj[c][adj[c].index(y)] = a
+            joined = (a, c)
+            root = a
+        levels.append((x, y, b, joined))
+    if s <= 2:
+        sources = tuple(sorted(order))
+    else:  # the star K_{1,3} or K_{1,4}: its centre, then its lowest leaf
+        sources = (
+            min(v for v in order if len(adj[v]) > 1),
+            min(v for v in order if len(adj[v]) == 1),
         )
-        del dist  # not held through the recursion below
-        sub, idmap = _subtree(t, y_side.vertices)
-        msched = _modified_subschedule(sub, idmap[y])
-        back = {new: old for old, new in idmap.items()}
-        sources = (x,) + tuple(back[s] for s in msched.sources)
-        while len(sources) < bound and not is_complete(
-            simulate(t.graph, BurningSchedule(sources=sources))
-        ):
-            sources = sources + (x,)
+    b = sqrt_ceil(s)
+    last = _burn(adj, sources)[0]
+    while True:
+        certify(
+            last <= len(sources) <= b,
+            "each level's schedule must burn it within its bound",
+        )
+        if not levels:
+            break
+        x, y, b, joined = levels.pop()
+        if joined is not None:
+            a, c = joined
+            adj[a][adj[a].index(c)] = y
+            adj[c][adj[c].index(a)] = y
+            if _burn(adj, sources, preburned=y)[0] > len(sources):
+                raise LiftVerificationFailed(
+                    f"lift of {sources} across smoothing at {y} did not complete"
+                )
+        adj[x].append(y)
+        adj[y].append(x)
+        sources = (x,) + sources
+        last = _burn(adj, sources)[0]
+        # a pad is a repeat of x, so it only lets the fire spread one more round
+        sources += (x,) * max(0, min(last, b) - len(sources))
+    certify(
+        all(sorted(nbrs) == list(old) for nbrs, old in zip(adj, t.graph.adj)),
+        "the ascent must rebuild the input tree",
+    )
     schedule = BurningSchedule(sources=sources)
     bm = simulate(t.graph, schedule)
     certify(is_complete(bm), "construction must burn the whole tree")
-    return CertifiedPlan(schedule=schedule, bound=bound, burn_map=bm)
+    return CertifiedPlan(schedule=schedule, bound=sqrt_ceil(t.n), burn_map=bm)
 
 
 def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:

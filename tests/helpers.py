@@ -9,6 +9,7 @@ simulation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterator
 
@@ -27,6 +28,7 @@ from burnkit import (
     simulate,
     simulate_modified,
 )
+from burnkit.hit import Anchor
 
 
 def enumerate_hits(max_n: int) -> Iterator[Tree]:
@@ -185,6 +187,84 @@ def reference_search_depth(
         return False
 
     return tuple(prefix) if dfs(0, initial) else None
+
+
+def reference_find_anchor(t: Tree) -> Anchor:
+    """find_anchor as first written: from the lowest leaf, walk to the
+    lowest heavy neighbour, with one depth-first search from x per step for
+    the sizes of x's neighbour sides."""
+    n, adj = t.n, t.graph.adj
+    tau = 2 * (math.isqrt(n - 1) + 1) - 1
+    x, came_from = adj[t.leaves[0]][0], t.leaves[0]
+    for _ in range(n):
+        sizes = {v: 0 for v in adj[x]}
+        branch = {x: None}
+        stack = [x]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in branch:
+                    branch[w] = w if u == x else branch[u]
+                    sizes[branch[w]] += 1
+                    stack.append(w)
+        heavy = [v for v in adj[x] if v != came_from and sizes[v] >= tau]
+        if not heavy:
+            others = tuple(v for v in adj[x] if v != came_from)
+            return Anchor(
+                x=x,
+                y=came_from,
+                neighbors=others + (came_from,),
+                side_sizes=tuple(sizes[v] for v in others) + (n - sizes[came_from],),
+                threshold=tau,
+            )
+        x, came_from = min(heavy), x
+    raise AssertionError("anchor walk did not end")
+
+
+def _reindexed(t: Tree, keep: list[int], extra=()) -> Tree:
+    """The tree on the sorted vertex list keep, with t's edges inside it and
+    the extra edges (old ids), re-indexed in id order."""
+    new = {old: i for i, old in enumerate(keep)}
+    edges = [(u, w) for u, w in t.graph.edges() if u in new and w in new]
+    return build_tree(len(keep), [(new[u], new[w]) for u, w in [*edges, *extra]])
+
+
+def reference_hit_schedule(t: Tree) -> tuple[int, ...]:
+    """hit_schedule's sources as first written, by recursion: burn the
+    anchor x first, plan y's side as its own re-indexed tree (smoothed at y
+    when y has degree 2 there) and map that plan back, then append x while
+    the schedule is shorter than ceil(sqrt(n)) and does not burn t."""
+    n = t.n
+    if n <= 2:
+        return tuple(range(n))
+    if n in (4, 5):
+        return (t.internal[0], t.leaves[0])
+    anchor = reference_find_anchor(t)
+    x, y = anchor.x, anchor.y
+    side = {y}
+    stack = [y]
+    while stack:
+        u = stack.pop()
+        for w in t.graph.adj[u]:
+            if w != x and w not in side:
+                side.add(w)
+                stack.append(w)
+    keep = sorted(side)
+    sub = _reindexed(t, keep)
+    yy = keep.index(y)
+    if sub.degree(yy) == 2:
+        rest = [v for v in range(sub.n) if v != yy]
+        smoothed = _reindexed(sub, rest, [sub.graph.adj[yy]])
+        inner = tuple(rest[v] for v in reference_hit_schedule(smoothed))
+    else:
+        inner = reference_hit_schedule(sub)
+    sources = (x,) + tuple(keep[v] for v in inner)
+    bound = math.isqrt(n - 1) + 1
+    while len(sources) < bound and not is_complete(
+        simulate(t.graph, BurningSchedule(sources=sources))
+    ):
+        sources += (x,)
+    return sources
 
 
 def wheel_graph(rim: int) -> Graph:

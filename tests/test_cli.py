@@ -1,9 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import burnkit
 import burnkit.cli
@@ -295,3 +298,85 @@ def test_crash_exits_three_with_traceback(capsys, monkeypatch, hit8_file):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("Traceback (most recent call last):")
     assert captured.err.endswith("internal error: TypeError: unsupported operand\n")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists on at most 10 vertices: trees, and trees with one fault
+    (extra edges, a missing edge, a wrong count, an out-of-range id), or
+    junk text."""
+    fault = draw(st.sampled_from(["", "", "", "extra", "drop", "count", "range", "junk"]))
+    if fault == "junk":
+        return draw(st.text(alphabet="0123456789 -\nx.", max_size=30))
+    n = draw(st.integers(0, 10))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if fault == "extra" and n:
+        edges += draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), min_size=1, max_size=2))
+    elif fault == "drop" and edges:
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    elif fault == "range":
+        edges.append((draw(st.sampled_from([-1, n])), 0))
+    edges = draw(st.permutations(edges))
+    return f"{n} {len(edges) + (fault == 'count')}\n" + "".join(
+        f"{u} {v}\n" for u, v in edges
+    )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["sources", "preburn", "bound", "x"]), inner, max_size=4),
+    max_leaves=10,
+)
+plan_texts = st.one_of(
+    st.fixed_dictionaries(
+        {"sources": st.lists(st.integers(-1, 10), min_size=1, max_size=5)},
+        optional={
+            "bound": st.integers(-1, 5) | json_values,
+            "preburn": st.lists(st.integers(-1, 10), max_size=2) | json_values,
+        },
+    ).map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=12),
+)
+id_texts = st.one_of(
+    st.lists(st.integers(-1, 10), min_size=1, max_size=4).map(
+        lambda ids: ",".join(map(str, ids))
+    ),
+    st.text(alphabet="0123456789,- ", max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.sampled_from(["burn", "verify", "hit-plan", "tree-plan", "solve", "hist"]),
+    graph_text=edge_list_texts(),
+    plan_text=plan_texts,
+    sources=id_texts,
+    preburn=id_texts,
+)
+def test_exit_code_contract(contract_dir, command, graph_text, plan_text, sources, preburn):
+    graph = contract_dir / "g.el"
+    graph.write_text(graph_text)
+    plan = contract_dir / "plan.json"
+    plan.write_text(plan_text)
+    argv = [command, str(graph)]
+    if command == "burn":
+        argv += [f"--sources={sources}", f"--preburn={preburn}"]
+    elif command == "verify":
+        argv.append(str(plan))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    # nothing in these inputs can make burnkit's own results fail
+    assert code != 3, err.getvalue()
+    if code == 1:
+        assert command == "verify" and not json.loads(out.getvalue())["valid"]
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

@@ -33,7 +33,14 @@ from burnkit.errors import (
 )
 from burnkit.generators import path_graph, random_hit, spider_graph, star_graph
 
-from helpers import eight_vertex_hit, random_tree_rng
+from helpers import (
+    eight_vertex_hit,
+    enumerate_hits,
+    random_tree_rng,
+    reference_find_anchor,
+    reference_hit_schedule,
+    relabel,
+)
 
 
 def check_anchor_independently(t: Tree, anchor) -> None:
@@ -71,6 +78,13 @@ def test_find_anchor_spider_and_p6():
 def test_find_anchor_too_small():
     with pytest.raises(TooSmall):
         find_anchor(Tree(star_graph(5)))
+
+
+def test_find_anchor_matches_reference_walk():
+    rng = random.Random(61)
+    for _ in range(1000):
+        t = random_tree_rng(rng.randint(6, 200), rng)
+        assert find_anchor(t) == reference_find_anchor(t)
 
 
 def test_anchor_soundness_random_trees():
@@ -162,6 +176,74 @@ def test_hit_schedule_random_bound_and_optimality_gap():
         assert is_complete(plan.burn_map)
         if t.n <= 14:
             assert burning_number_exact(t.graph)[0] <= len(plan.schedule)
+
+
+def padded(sources: tuple[int, ...]) -> bool:
+    # the anchors and the base's sources are distinct vertices, so a repeat
+    # in a plan is a pad: some level appended its anchor again
+    return len(set(sources)) < len(sources)
+
+
+def test_hit_schedule_matches_reference_on_every_small_hit():
+    pads = 0
+    for t in enumerate_hits(14):
+        sources = hit_schedule(t).schedule.sources
+        assert sources == reference_hit_schedule(t), t.graph.edges()
+        pads += padded(sources)
+    assert pads > 0
+
+
+def test_hit_schedule_matches_reference_on_relabelled_random_hits():
+    rng = random.Random(67)
+    pads = 0
+    for _ in range(300):
+        hit = random_hit(rng.randint(4, 400), seed=rng.randrange(2**31))
+        t = Tree(relabel(hit.graph, rng))
+        sources = hit_schedule(t).schedule.sources
+        assert sources == reference_hit_schedule(t), t.graph.edges()
+        pads += padded(sources)
+    assert pads > 0
+
+
+def test_tree_plan_matches_reference_on_relabelled_trees():
+    rng = random.Random(71)
+    pads = 0
+    for i in range(300):
+        if i % 3 == 0:
+            g = random_tree_rng(rng.randint(1, 150), rng).graph
+        elif i % 3 == 1:
+            g = path_graph(rng.randint(1, 120))
+        else:
+            g = spider_graph([rng.randint(1, 8) for _ in range(rng.randint(1, 8))])
+        t = Tree(relabel(g, rng))
+        augmented, attach = augment_degree2(t)
+        expected = tuple(attach.get(v, v) for v in reference_hit_schedule(augmented))
+        sources = tree_schedule_via_augmentation(t).schedule.sources
+        assert sources == expected, t.graph.edges()
+        pads += padded(hit_schedule(augmented).schedule.sources)
+    assert pads > 0
+
+
+def test_hit_schedule_makes_no_recursive_call():
+    # a planner that recurses once or twice per level needs about 60 frames here
+    code = (
+        "import sys\n"
+        "from burnkit import hit_schedule\n"
+        "from burnkit.generators import random_hit\n"
+        "t = random_hit(2000, 1)\n"
+        "sys.setrecursionlimit(50)\n"
+        "print(len(hit_schedule(t).schedule))\n"
+    )
+    src = str(Path(burnkit.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) <= sqrt_ceil(2000)
 
 
 def test_eccentricity_bound_random_hits():
