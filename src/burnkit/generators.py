@@ -13,7 +13,7 @@ import random
 from collections import Counter
 
 from .errors import BadParams
-from .graph import Graph, Tree, build_graph, build_tree
+from .graph import MAX_VERTICES, Graph, Tree, build_graph, build_tree
 from .hit import augment_degree2
 
 MAX_HIT_DRAWS = 100_000
@@ -125,27 +125,37 @@ def _int_param(value) -> int:
         raise BadParams(f"parameter value {value!r} is not an integer") from exc
 
 
+def _order(n: int) -> int:
+    """n, if a graph on n vertices is within the vertex cap."""
+    if n > MAX_VERTICES:
+        raise BadParams(f"{n} vertices exceed the cap {MAX_VERTICES}")
+    return n
+
+
 def generate(family: str, params: dict) -> Graph:
     """Dispatch on family name; deterministic under (family, params, seed).
-    A missing or non-integer parameter raises BadParams."""
+    A missing or non-integer parameter, or a graph above MAX_VERTICES
+    vertices, raises BadParams before any edge is built."""
     try:
         if family == "path":
-            return path_graph(_int_param(params["n"]))
+            return path_graph(_order(_int_param(params["n"])))
         if family == "star":
-            return star_graph(_int_param(params["n"]))
+            return star_graph(_order(_int_param(params["n"])))
         if family == "spider":
             legs = params["legs"]
             if not isinstance(legs, (list, tuple)):
                 raise BadParams("spider legs must be a list of lengths")
-            return spider_graph([_int_param(x) for x in legs])
+            legs = [_int_param(x) for x in legs]
+            _order(1 + sum(legs))
+            return spider_graph(legs)
         if family == "petersen":
             return petersen_graph()
         if family == "random_tree":
             n, seed = _int_param(params["n"]), _int_param(params["seed"])
-            return random_tree(n, seed).graph
+            return random_tree(_order(n), seed).graph
         if family == "random_hit":
             n, seed = _int_param(params["n"]), _int_param(params["seed"])
-            return random_hit(n, seed).graph
+            return random_hit(_order(n), seed).graph
     except KeyError as exc:
         raise BadParams(f"family {family!r} missing parameter {exc}") from exc
     raise BadParams(f"unknown family {family!r}")

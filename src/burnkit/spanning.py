@@ -1,12 +1,15 @@
-"""Bridges from trees to general graphs: spanning-tree enumeration with an
-exact matrix-tree count as cross-check, the min-over-spanning-trees burning
-number, and exhaustive search for a homeomorphically irreducible spanning
-tree (HIST) with the resulting ceil(sqrt(n)) plan.
+"""Bridges from trees to general graphs.
+
+One include/exclude search over the sorted edge list serves both routes.
+Run with nothing forbidden, it enumerates every spanning tree, after an
+exact matrix-tree count has checked their number, for the
+min-over-spanning-trees burning number. Run with final degrees 0 and 2
+forbidden, its first HIT is a homeomorphically irreducible spanning tree
+(HIST), which gives a ceil(sqrt(n)) plan.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -98,31 +101,60 @@ def _spans(n: int, edges: list[tuple[int, int]]) -> bool:
     return comps == 1
 
 
-def _spanning_trees(
-    n: int,
-    edges: list[tuple[int, int]],
-    i: int,
-    chosen: list[tuple[int, int]],
-    dsu: _DSU,
+def _search(
+    i: int, chosen: list[tuple[int, int]], state: tuple, excluded: bool
 ) -> Iterator[Tree]:
     """Every spanning tree made of chosen plus some of edges[i:], in
-    include-first order; dsu joins the chosen edges."""
+    include-first order, skipping each branch that decides a vertex's last
+    edge and leaves it at a forbidden final degree. state is (edges, dsu,
+    deg, undecided, forbidden, nodes): dsu joins the chosen edges, deg and
+    undecided count each vertex's chosen and undecided edges, nodes[0] the
+    calls. excluded says that edges[i - 1] was left out."""
+    edges, dsu, deg, undecided, forbidden, nodes = state
+    n = len(deg)
+    nodes[0] += 1
     if len(chosen) == n - 1:
         yield build_tree(n, chosen)
         return
-    if i == len(edges):
-        return
-    if not _spans(n, chosen + edges[i:]):
+    # including an edge leaves chosen + edges[i:] as it was, so only an
+    # exclusion can disconnect it (the search starts on a connected graph)
+    if i == len(edges) or (excluded and not _spans(n, chosen + edges[i:])):
         return
     u, v = edges[i]
+    undecided[u] -= 1
+    undecided[v] -= 1
     ru, rv = dsu.find(u), dsu.find(v)
     if ru != rv:
         dsu.parent[ru] = rv
-        chosen.append(edges[i])
-        yield from _spanning_trees(n, edges, i + 1, chosen, dsu)
-        chosen.pop()
+        deg[u] += 1
+        deg[v] += 1
+        if not (
+            (undecided[u] == 0 and deg[u] in forbidden)
+            or (undecided[v] == 0 and deg[v] in forbidden)
+        ):
+            chosen.append(edges[i])
+            yield from _search(i + 1, chosen, state, False)
+            chosen.pop()
+        deg[u] -= 1
+        deg[v] -= 1
         dsu.parent[ru] = ru
-    yield from _spanning_trees(n, edges, i + 1, chosen, dsu)
+    if not (
+        (undecided[u] == 0 and deg[u] in forbidden)
+        or (undecided[v] == 0 and deg[v] in forbidden)
+    ):
+        yield from _search(i + 1, chosen, state, True)
+    undecided[u] += 1
+    undecided[v] += 1
+
+
+def _spanning_trees(
+    g: Graph, forbidden: tuple[int, ...], nodes: list[int]
+) -> Iterator[Tree]:
+    """The include/exclude search over g's sorted edge list, with no vertex
+    left at a degree in forbidden; nodes[0] counts its calls."""
+    undecided = [g.degree(v) for v in range(g.n)]
+    state = (g.edges(), _DSU(g.n), [0] * g.n, undecided, forbidden, nodes)
+    return _search(0, [], state, False)
 
 
 def enumerate_spanning_trees(
@@ -135,7 +167,7 @@ def enumerate_spanning_trees(
     count = matrix_tree_count(g)
     if count > limit:
         raise TooMany(f"{count} spanning trees exceed limit {limit}")
-    yield from _spanning_trees(g.n, g.edges(), 0, [], _DSU(g.n))
+    yield from _spanning_trees(g, (), [0])
 
 
 def burning_number_via_spanning_trees(
@@ -151,11 +183,10 @@ def burning_number_via_spanning_trees(
     that is the first enumerated tree attaining the minimum; the witness is
     its lexicographically smallest optimal schedule.
     """
-    trees = enumerate_spanning_trees(g, limit=tree_limit)
-    # Disconnected and TooMany come from the enumeration, before any solve
-    first = next(trees, None)
+    # the exact solver's guards (TooLarge, TooSmall, Disconnected) come
+    # before the enumeration's TooMany and before any tree is built
     target, _ = burning_number_exact(g, limit=exact_limit)
-    for tree in itertools.chain((first,), trees):
+    for tree in enumerate_spanning_trees(g, limit=tree_limit):
         witness = _search_depth(
             tree.graph, target, (), [], [], *_rooted_levels(tree.graph)
         )
@@ -172,64 +203,20 @@ def burning_number_via_spanning_trees(
 
 @dataclass(frozen=True)
 class HistResult:
-    found: bool
     tree: Tree | None
     nodes_expanded: int
 
-
-def _frozen_bad(v: int, deg: list[int], undecided: list[int]) -> bool:
-    return undecided[v] == 0 and (deg[v] == 2 or deg[v] == 0)
-
-
-def _hist_search(i: int, chosen: list[tuple[int, int]], state: tuple) -> Tree | None:
-    """First HIST made of chosen plus some of edges[i:], in include/exclude
-    order. state is (edges, dsu, deg, undecided, nodes): deg and undecided
-    count each vertex's chosen and undecided edges, nodes[0] the calls."""
-    edges, dsu, deg, undecided, nodes = state
-    n = len(deg)
-    nodes[0] += 1
-    if len(chosen) == n - 1:
-        tree = build_tree(n, chosen)
-        return tree if is_hit(tree) else None
-    if i == len(edges):
-        return None
-    if not _spans(n, chosen + edges[i:]):
-        return None
-    u, v = edges[i]
-    # include branch
-    ru, rv = dsu.find(u), dsu.find(v)
-    if ru != rv:
-        dsu.parent[ru] = rv
-        deg[u] += 1
-        deg[v] += 1
-        undecided[u] -= 1
-        undecided[v] -= 1
-        if not (_frozen_bad(u, deg, undecided) or _frozen_bad(v, deg, undecided)):
-            result = _hist_search(i + 1, chosen + [edges[i]], state)
-            if result is not None:
-                return result
-        deg[u] -= 1
-        deg[v] -= 1
-        undecided[u] += 1
-        undecided[v] += 1
-        dsu.parent[ru] = ru
-    # exclude branch
-    undecided[u] -= 1
-    undecided[v] -= 1
-    result = None
-    if not (_frozen_bad(u, deg, undecided) or _frozen_bad(v, deg, undecided)):
-        result = _hist_search(i + 1, chosen, state)
-    undecided[u] += 1
-    undecided[v] += 1
-    return result
+    @property
+    def found(self) -> bool:
+        return self.tree is not None
 
 
 def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
-    """Exhaustive include/exclude search over the canonical edge order for a
-    spanning tree without degree-2 vertices.
+    """The first spanning tree without degree-2 vertices in the
+    include/exclude order over the canonical edge list.
 
-    Prunes cycles, unbridgeable splits, and any vertex whose degree freezes
-    at exactly 2 (or below 1) once all its incident edges are decided.
+    The search prunes cycles, unbridgeable splits, and any vertex whose
+    degree freezes at 2 or 0 once all its incident edges are decided.
     """
     if g.n > limit:
         raise TooLarge(f"n={g.n} exceeds HIST search limit {limit}")
@@ -237,25 +224,18 @@ def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
         raise TooSmall("HIST search needs a graph with at least one vertex")
     if not g.is_connected():
         raise Disconnected("HIST search requires a connected graph")
-    if g.n == 1:
-        return HistResult(found=True, tree=build_tree(1, []), nodes_expanded=1)
     nodes = [0]
-    undecided = [g.degree(v) for v in range(g.n)]
-    tree = _hist_search(0, [], (g.edges(), _DSU(g.n), [0] * g.n, undecided, nodes))
-    if tree is None:
-        return HistResult(found=False, tree=None, nodes_expanded=nodes[0])
-    certify(is_hit(tree), "HIST search must return a HIT")
-    return HistResult(found=True, tree=tree, nodes_expanded=nodes[0])
+    tree = next((t for t in _spanning_trees(g, (0, 2), nodes) if is_hit(t)), None)
+    return HistResult(tree=tree, nodes_expanded=nodes[0])
 
 
 def hist_bound(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> CertifiedPlan | None:
     """ceil(sqrt(n)) plan for any graph possessing a HIST, verified on the
     graph itself; None when no HIST exists."""
-    result = find_hist(g, limit=limit)
-    if not result.found:
+    tree = find_hist(g, limit=limit).tree
+    if tree is None:
         return None
-    certify(result.tree is not None, "a found HIST must carry its tree")
-    plan = hit_schedule(result.tree)
+    plan = hit_schedule(tree)
     bm = simulate(g, plan.schedule)
     certify(is_complete(bm), "burning a graph is at least as fast as its HIST")
     return CertifiedPlan(schedule=plan.schedule, bound=sqrt_ceil(g.n), burn_map=bm)

@@ -142,6 +142,120 @@ def reference_spanning_min(g: Graph) -> tuple[int, Tree, BurningSchedule]:
     return best
 
 
+def _reference_spans(n: int, edges: list[tuple[int, int]]) -> bool:
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    comps = n
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+    return comps == 1
+
+
+def reference_spanning_trees(g: Graph) -> Iterator[Tree]:
+    """Spanning-tree enumeration as first written, as its own search:
+    include-first recursion over the sorted edge list, each tree built from
+    the chosen edges."""
+    n, edges = g.n, g.edges()
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def rec(i: int, chosen: list[tuple[int, int]]) -> Iterator[Tree]:
+        if len(chosen) == n - 1:
+            yield build_tree(n, chosen)
+            return
+        if i == len(edges) or not _reference_spans(n, chosen + edges[i:]):
+            return
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            yield from rec(i + 1, chosen + [edges[i]])
+            parent[ru] = ru
+        yield from rec(i + 1, chosen)
+
+    return rec(0, [])
+
+
+def reference_find_hist(g: Graph) -> tuple[Tree | None, int]:
+    """HIST search as first written, as its own search on a connected g:
+    include/exclude recursion that prunes a vertex whose degree freezes at 0
+    or 2 once all its edges are decided. Returns the first HIST (None if
+    there is none) and the number of calls."""
+    n, edges = g.n, g.edges()
+    if n == 1:
+        return build_tree(1, []), 1
+    parent = list(range(n))
+    deg = [0] * n
+    undecided = [g.degree(v) for v in range(n)]
+    calls = 0
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def frozen_bad(v: int) -> bool:
+        return undecided[v] == 0 and deg[v] in (0, 2)
+
+    def rec(i: int, chosen: list[tuple[int, int]]) -> Tree | None:
+        nonlocal calls
+        calls += 1
+        if len(chosen) == n - 1:
+            tree = build_tree(n, chosen)
+            return tree if all(tree.degree(v) != 2 for v in range(n)) else None
+        if i == len(edges) or not _reference_spans(n, chosen + edges[i:]):
+            return None
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            deg[u] += 1
+            deg[v] += 1
+            undecided[u] -= 1
+            undecided[v] -= 1
+            if not (frozen_bad(u) or frozen_bad(v)):
+                result = rec(i + 1, chosen + [edges[i]])
+                if result is not None:
+                    return result
+            deg[u] -= 1
+            deg[v] -= 1
+            undecided[u] += 1
+            undecided[v] += 1
+            parent[ru] = ru
+        undecided[u] -= 1
+        undecided[v] -= 1
+        result = None
+        if not (frozen_bad(u) or frozen_bad(v)):
+            result = rec(i + 1, chosen)
+        undecided[u] += 1
+        undecided[v] += 1
+        return result
+
+    return rec(0, []), calls
+
+
+def networkx_spanning_trees(g: Graph) -> Iterator[frozenset[tuple[int, int]]]:
+    """Every spanning tree of g as a set of (u, v) edges with u < v, from
+    networkx's own spanning-tree iterator."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    for t in nx.algorithms.tree.mst.SpanningTreeIterator(h):
+        yield frozenset((min(u, v), max(u, v)) for u, v in t.edges())
+
+
 def reference_search_depth(
     g: Graph, k: int, preburn: tuple[int, ...] = ()
 ) -> tuple[int, ...] | None:

@@ -13,7 +13,7 @@ import burnkit.cli
 from burnkit import BurningSchedule, build_graph, is_complete, simulate
 from burnkit.cli import _build_parser, main
 from burnkit.errors import CertificationFailed
-from burnkit.graph import format_edge_list
+from burnkit.graph import MAX_VERTICES, format_edge_list
 from burnkit.generators import path_graph, petersen_graph
 
 from helpers import EIGHT_VERTEX_HIT_EDGES, wheel_graph
@@ -115,6 +115,38 @@ def test_spanning_min_wheel_12(capsys, tmp_path):
     assert len(tree_edges) == rim and all(wheel.has_edge(u, v) for u, v in tree_edges)
     tree = build_graph(rim + 1, tree_edges)
     assert is_complete(simulate(tree, BurningSchedule(tuple(payload["sources"]))))
+
+
+def test_spanning_min_on_a_large_path_is_an_input_error(capsys, tmp_path):
+    # n=1100 is above the exact solver's limit; the size gate must come
+    # before any spanning tree is enumerated
+    path = tmp_path / "p1100.el"
+    path.write_text(format_edge_list(path_graph(1100)))
+    code = main(["spanning-min", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: n=1100 exceeds exact-solver limit 64\n"
+
+
+def test_gen_rejects_graphs_above_the_vertex_cap(capsys, tmp_path):
+    over = str(MAX_VERTICES + 1)
+    for argv in (
+        ["path", "-n", over],
+        ["star", "-n", over],
+        ["random_tree", "-n", over, "--seed", "1"],
+        ["random_hit", "-n", over, "--seed", "1"],
+        ["spider", "--legs", f"{MAX_VERTICES - 2},1,1"],
+    ):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == f"error: {over} vertices exceed the cap {MAX_VERTICES}\n"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"families": [{"family": "path", "sizes": [int(over)]}]}))
+    code = main(["bench", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_empty_graph_is_an_input_error(capsys, tmp_path):
@@ -354,7 +386,9 @@ def contract_dir(tmp_path_factory):
 
 @settings(max_examples=400, deadline=None)
 @given(
-    command=st.sampled_from(["burn", "verify", "hit-plan", "tree-plan", "solve", "hist"]),
+    command=st.sampled_from(
+        ["burn", "verify", "hit-plan", "tree-plan", "solve", "hist", "spanning-min"]
+    ),
     graph_text=edge_list_texts(),
     plan_text=plan_texts,
     sources=id_texts,
@@ -380,3 +414,36 @@ def test_exit_code_contract(contract_dir, command, graph_text, plan_text, source
         assert command == "verify" and not json.loads(out.getvalue())["valid"]
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+gen_sizes = st.integers(-2, 24) | st.just(MAX_VERTICES + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["path", "star", "spider", "petersen", "random_tree", "random_hit", "cycle", ""]
+    ),
+    n=st.none() | gen_sizes,
+    legs=st.none() | st.lists(gen_sizes, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    seed=st.none() | st.integers(-1, 5),
+)
+def test_gen_exit_code_contract(family, n, legs, seed):
+    # sizes stay small or cross the vertex cap, which must be refused
+    # before any edge is built
+    argv = ["gen", family]
+    if n is not None:
+        argv.append(f"-n={n}")
+    if legs is not None:
+        argv.append(f"--legs={legs}")
+    if seed is not None:
+        argv.append(f"--seed={seed}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        header = out.getvalue().split("\n", 1)[0].split()
+        assert 1 <= int(header[0]) <= MAX_VERTICES

@@ -18,14 +18,17 @@ from burnkit import (
     sqrt_ceil,
 )
 from burnkit.burning import _rooted_levels, _search_depth
-from burnkit.errors import Disconnected, TooLarge, TooMany
+from burnkit.errors import Disconnected, TooLarge, TooMany, TooSmall
 from burnkit.generators import path_graph, petersen_graph, spider_graph, star_graph
 
 from helpers import (
     atlas_connected_graphs,
+    networkx_spanning_trees,
     random_connected_graph,
     random_tree_rng,
+    reference_find_hist,
     reference_spanning_min,
+    reference_spanning_trees,
     relabel,
     wheel_graph,
 )
@@ -109,16 +112,25 @@ def test_spanning_min_matches_full_enumeration():
         assert burning_number_via_spanning_trees(g) == reference_spanning_min(g)
 
 
-def test_spanning_min_guard_order():
-    # Disconnected and TooMany come before the exact solver's TooLarge
-    with pytest.raises(Disconnected):
-        burning_number_via_spanning_trees(build_graph(3, [(0, 1)]), exact_limit=2)
-    with pytest.raises(TooMany):
+def test_spanning_min_guard_order(monkeypatch):
+    # the exact solver's guards (TooLarge, TooSmall, Disconnected) come
+    # first, then the enumeration's TooMany, before any tree is tested
+    def no_tree_tested(*args):
+        raise AssertionError("a spanning tree was tested")
+
+    monkeypatch.setattr("burnkit.spanning._search_depth", no_tree_tested)
+    with pytest.raises(TooLarge, match="n=10 exceeds exact-solver limit 9"):
         burning_number_via_spanning_trees(
             petersen_graph(), tree_limit=1999, exact_limit=9
         )
-    with pytest.raises(TooLarge, match="n=10 exceeds exact-solver limit 9"):
-        burning_number_via_spanning_trees(petersen_graph(), exact_limit=9)
+    with pytest.raises(TooLarge, match="n=3 exceeds exact-solver limit 2"):
+        burning_number_via_spanning_trees(build_graph(3, [(0, 1)]), exact_limit=2)
+    with pytest.raises(TooSmall):
+        burning_number_via_spanning_trees(build_graph(0, []), tree_limit=-1)
+    with pytest.raises(Disconnected):
+        burning_number_via_spanning_trees(build_graph(3, [(0, 1)]), tree_limit=0)
+    with pytest.raises(TooMany):
+        burning_number_via_spanning_trees(petersen_graph(), tree_limit=1999)
 
 
 def test_search_depth_at_and_below_burning_number():
@@ -188,6 +200,70 @@ def test_find_hist_agrees_with_enumeration_filter():
         g = random_connected_graph(rng.randint(2, 9), rng)
         by_filter = any(is_hit(t) for t in enumerate_spanning_trees(g))
         assert find_hist(g).found == by_filter
+
+
+def _no_degree_two(n, tree_edges):
+    deg = [0] * n
+    for u, v in tree_edges:
+        deg[u] += 1
+        deg[v] += 1
+    return 2 not in deg
+
+
+def test_search_matches_networkx():
+    # networkx's spanning-tree iterator shares no code with the search
+    rng = random.Random(101)
+    graphs = [g for g in atlas_connected_graphs(7) if matrix_tree_count(g) <= 30]
+    for _ in range(60):
+        g = random_connected_graph(rng.randint(1, 9), rng)
+        if matrix_tree_count(g) <= 300:
+            graphs.append(g)
+    graphs += [relabel(wheel_graph(rim), rng) for rim in range(3, 7)]
+    grids = [(2, 3), (2, 4), (3, 3)]
+    graphs += [relabel(grid_graph(rows, cols), rng) for rows, cols in grids]
+    assert len(graphs) >= 200, len(graphs)
+    hist_found = 0
+    for g in graphs:
+        ours = [frozenset(t.graph.edges()) for t in enumerate_spanning_trees(g)]
+        theirs = list(networkx_spanning_trees(g))
+        assert len(set(ours)) == len(ours) == len(theirs) == len(set(theirs))
+        assert set(ours) == set(theirs)
+        found = any(_no_degree_two(g.n, t) for t in theirs)
+        assert find_hist(g).found == found
+        hist_found += found
+    assert 0 < hist_found < len(graphs)
+
+
+def test_find_hist_matches_networkx_on_atlas():
+    # every connected graph on at most 6 vertices
+    for g in atlas_connected_graphs(6):
+        found = any(_no_degree_two(g.n, t) for t in networkx_spanning_trees(g))
+        assert find_hist(g).found == found
+
+
+def test_search_matches_frozen_reference():
+    # the two searches as first written, each its own recursion: the same
+    # tree order, the same first HIST and the same node count
+    rng = random.Random(97)
+    graphs = atlas_connected_graphs(7)
+    graphs += [random_connected_graph(rng.randint(1, 9), rng) for _ in range(300)]
+    graphs += [sparse_connected_graph(rng.randint(2, 20), rng) for _ in range(300)]
+    graphs += [relabel(wheel_graph(rim), rng) for rim in range(3, 10)]
+    grids = [(2, 3), (3, 3), (2, 5), (3, 4)]
+    graphs += [relabel(grid_graph(rows, cols), rng) for rows, cols in grids]
+    ordered = 0
+    for g in graphs:
+        result = find_hist(g)
+        tree, nodes = reference_find_hist(g)
+        assert result.nodes_expanded == nodes
+        assert (result.tree is None) == (tree is None)
+        if tree is not None:
+            assert result.tree.graph == tree.graph
+        if matrix_tree_count(g) <= 100:
+            ordered += 1
+            ours = [t.graph for t in enumerate_spanning_trees(g)]
+            assert ours == [t.graph for t in reference_spanning_trees(g)]
+    assert ordered >= 1000
 
 
 def test_hist_bound_star():
