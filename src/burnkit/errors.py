@@ -63,10 +63,6 @@ class LiftVerificationFailed(InternalError):
     """Lifted schedule failed re-simulation; indicates an implementation bug."""
 
 
-class ProjectionVerificationFailed(InternalError):
-    """Projected schedule failed re-simulation; indicates an implementation bug."""
-
-
 class BadParams(BurnkitError):
     """Generator parameters invalid for the requested family."""
 

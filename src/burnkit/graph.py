@@ -9,7 +9,7 @@ ascending so that downstream schedules are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedEdge, NotAnEdge, NotATree, NotDegreeTwo, Unreachable
 
@@ -101,8 +101,6 @@ class Tree:
     """
 
     graph: Graph
-    leaves: tuple[int, ...] = field(init=False)
-    internal: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         g = self.graph
@@ -112,15 +110,14 @@ class Tree:
             raise NotATree(f"tree needs m = n-1, got n={g.n} m={g.m}")
         if not g.is_connected():
             raise NotATree("graph is not connected")
-        if g.n == 1:
-            leaves: tuple[int, ...] = ()
-            internal: tuple[int, ...] = ()
-        else:
-            # from lists, as in build_graph
-            leaves = tuple([v for v in range(g.n) if g.degree(v) == 1])
-            internal = tuple([v for v in range(g.n) if g.degree(v) >= 2])
-        object.__setattr__(self, "leaves", leaves)
-        object.__setattr__(self, "internal", internal)
+
+    @property
+    def leaves(self) -> tuple[int, ...]:
+        return tuple([v for v in range(self.n) if self.degree(v) == 1])
+
+    @property
+    def internal(self) -> tuple[int, ...]:
+        return tuple([v for v in range(self.n) if self.degree(v) >= 2])
 
     @property
     def n(self) -> int:

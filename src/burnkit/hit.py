@@ -6,10 +6,11 @@ x burns first, and y's side is planned next, with y smoothed away when it
 drops to degree 2 and the schedule lifted back with y preburned.
 hit_schedule runs that induction as a descent loop and an ascent loop over
 one mutable adjacency on the input's vertex ids, cutting, smoothing and then
-undoing, with no Tree built below the input and no recursion. Every level
-re-verifies its schedule by burning it, and the final plan is checked by
-simulation, so the ceil(sqrt(n)) guarantee is an executable contract rather
-than a trusted proof.
+undoing, with no Tree built below the input and no recursion. x's side
+meets y's side only through xy, so each is burned once: x's side from x on
+the way down, y's side with y preburned on the way up when y was smoothed.
+The final plan is checked by simulation, so the ceil(sqrt(n)) guarantee is
+an executable contract rather than a trusted proof.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     LiftVerificationFailed,
     NotAHIT,
     NotDegreeTwo,
-    ProjectionVerificationFailed,
     TooSmall,
     certify,
 )
@@ -228,8 +228,9 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
     the next level. A level of 1, 2, 4 or 5 vertices takes its base
     schedule. Ascent, from the base up: undo the smoothing and check that
     y's side with y preburned burns within the schedule, relink xy, put x
-    first, and pad with x (a no-op source) until the level burns or the
-    schedule reaches the level's bound b = ceil(sqrt(s)).
+    first, and pad with x (a no-op source) up to the x_last <= b =
+    ceil(sqrt(s)) rounds x's side took to burn from x on the way down; y's
+    side, on fire at y in round 2, runs one round behind its own schedule.
 
     Every tie goes to the lowest input id, as it would if each level were
     re-indexed in id order as a tree of its own.
@@ -237,7 +238,7 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
     if not is_hit(t):
         raise NotAHIT("tree has a degree-2 vertex")
     adj = [list(nbrs) for nbrs in t.graph.adj]
-    levels: list[tuple[int, int, int, tuple[int, int] | None]] = []
+    levels: list[tuple[int, int, int, int, tuple[int, int] | None]] = []
     root = 0
     while True:
         order, parent, sub = _rooted(adj, root)
@@ -266,7 +267,7 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
             adj[c][adj[c].index(y)] = a
             joined = (a, c)
             root = a
-        levels.append((x, y, b, joined))
+        levels.append((x, y, b, x_last, joined))
     if s <= 2:
         sources = tuple(sorted(order))
     else:  # the star K_{1,3} or K_{1,4}: its centre, then its lowest leaf
@@ -283,29 +284,28 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
         )
         if not levels:
             break
-        x, y, b, joined = levels.pop()
+        x, y, b, x_last, joined = levels.pop()
+        y_last = last  # y's side, with y preburned or not, burns by then
         if joined is not None:
             a, c = joined
             adj[a][adj[a].index(c)] = y
             adj[c][adj[c].index(a)] = y
-            if _burn(adj, sources, preburned=y)[0] > len(sources):
+            y_last = _burn(adj, sources, preburned=y)[0]
+            if y_last > len(sources):
                 raise LiftVerificationFailed(
                     f"lift of {sources} across smoothing at {y} did not complete"
                 )
         adj[x].append(y)
         adj[y].append(x)
         sources = (x,) + sources
-        last = _burn(adj, sources)[0]
-        # a pad is a repeat of x, so it only lets the fire spread one more round
-        sources += (x,) * max(0, min(last, b) - len(sources))
+        last = max(x_last, y_last + 1)
+        sources += (x,) * max(0, x_last - len(sources))  # no-op repeats of x
     certify(
         all(sorted(nbrs) == list(old) for nbrs, old in zip(adj, t.graph.adj)),
         "the ascent must rebuild the input tree",
     )
     schedule = BurningSchedule(sources=sources)
-    bm = simulate(t.graph, schedule)
-    certify(is_complete(bm), "construction must burn the whole tree")
-    return CertifiedPlan(schedule=schedule, bound=sqrt_ceil(t.n), burn_map=bm)
+    return CertifiedPlan(schedule, sqrt_ceil(t.n), simulate(t.graph, schedule))
 
 
 def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:
@@ -330,12 +330,6 @@ def tree_schedule_via_augmentation(t: Tree) -> CertifiedPlan:
     hosts (which can only speed burning in the original tree)."""
     augmented, attach = augment_degree2(t)
     plan = hit_schedule(augmented)
-    bound = sqrt_ceil(augmented.n)
     sources = tuple(attach.get(s, s) for s in plan.schedule.sources)
     schedule = BurningSchedule(sources=sources)
-    bm = simulate(t.graph, schedule)
-    if not is_complete(bm) or bm.completion > len(schedule):
-        raise ProjectionVerificationFailed(
-            "projected schedule did not burn the original tree"
-        )
-    return CertifiedPlan(schedule=schedule, bound=bound, burn_map=bm)
+    return CertifiedPlan(schedule, sqrt_ceil(augmented.n), simulate(t.graph, schedule))

@@ -101,60 +101,79 @@ def _spans(n: int, edges: list[tuple[int, int]]) -> bool:
     return comps == 1
 
 
-def _search(
-    i: int, chosen: list[tuple[int, int]], state: tuple, excluded: bool
-) -> Iterator[Tree]:
-    """Every spanning tree made of chosen plus some of edges[i:], in
-    include-first order, skipping each branch that decides a vertex's last
-    edge and leaves it at a forbidden final degree. state is (edges, dsu,
-    deg, undecided, forbidden, nodes): dsu joins the chosen edges, deg and
-    undecided count each vertex's chosen and undecided edges, nodes[0] the
-    calls. excluded says that edges[i - 1] was left out."""
+_VISIT, _EXCLUDE, _FINISH = range(3)
+
+
+def _search(state: tuple) -> Iterator[Tree]:
+    """Every spanning tree made of some of the sorted edges, in include-first
+    order, skipping each branch that decides a vertex's last edge and leaves
+    it at a forbidden final degree. state is (edges, dsu, deg, undecided,
+    forbidden, nodes): dsu joins the chosen edges, deg and undecided count
+    each vertex's chosen and undecided edges, nodes[0] the nodes visited.
+
+    The include/exclude recursion runs on an explicit stack of (action, i,
+    arg) steps, so a deep search does not reach Python's recursion limit.
+    Visiting edge i (arg: edges[i - 1] was left out) decides it and pushes
+    the rest of its node: undo the inclusion, if any (arg: the root the
+    union moved), and try the exclusion, then restore its undecided counts.
+    """
     edges, dsu, deg, undecided, forbidden, nodes = state
     n = len(deg)
-    nodes[0] += 1
-    if len(chosen) == n - 1:
-        yield build_tree(n, chosen)
-        return
-    # including an edge leaves chosen + edges[i:] as it was, so only an
-    # exclusion can disconnect it (the search starts on a connected graph)
-    if i == len(edges) or (excluded and not _spans(n, chosen + edges[i:])):
-        return
-    u, v = edges[i]
-    undecided[u] -= 1
-    undecided[v] -= 1
-    ru, rv = dsu.find(u), dsu.find(v)
-    if ru != rv:
-        dsu.parent[ru] = rv
-        deg[u] += 1
-        deg[v] += 1
-        if not (
-            (undecided[u] == 0 and deg[u] in forbidden)
-            or (undecided[v] == 0 and deg[v] in forbidden)
-        ):
-            chosen.append(edges[i])
-            yield from _search(i + 1, chosen, state, False)
-            chosen.pop()
-        deg[u] -= 1
-        deg[v] -= 1
-        dsu.parent[ru] = ru
-    if not (
-        (undecided[u] == 0 and deg[u] in forbidden)
-        or (undecided[v] == 0 and deg[v] in forbidden)
-    ):
-        yield from _search(i + 1, chosen, state, True)
-    undecided[u] += 1
-    undecided[v] += 1
+    chosen: list[tuple[int, int]] = []
+    stack = [(_VISIT, 0, False)]
+    while stack:
+        action, i, arg = stack.pop()
+        if action == _VISIT:
+            nodes[0] += 1
+            if len(chosen) == n - 1:
+                yield build_tree(n, chosen)
+                continue
+            # including an edge leaves chosen + edges[i:] as it was, so only
+            # an exclusion can disconnect it (the search starts connected)
+            if i == len(edges) or (arg and not _spans(n, chosen + edges[i:])):
+                continue
+            u, v = edges[i]
+            undecided[u] -= 1
+            undecided[v] -= 1
+            ru, rv = dsu.find(u), dsu.find(v)
+            include = ru != rv and not (
+                (undecided[u] == 0 and deg[u] + 1 in forbidden)
+                or (undecided[v] == 0 and deg[v] + 1 in forbidden)
+            )
+            stack.append((_FINISH, i, None))
+            stack.append((_EXCLUDE, i, ru if include else None))
+            if include:
+                dsu.parent[ru] = rv
+                deg[u] += 1
+                deg[v] += 1
+                chosen.append(edges[i])
+                stack.append((_VISIT, i + 1, False))
+            continue
+        u, v = edges[i]
+        if action == _EXCLUDE:
+            if arg is not None:
+                chosen.pop()
+                deg[u] -= 1
+                deg[v] -= 1
+                dsu.parent[arg] = arg
+            if not (
+                (undecided[u] == 0 and deg[u] in forbidden)
+                or (undecided[v] == 0 and deg[v] in forbidden)
+            ):
+                stack.append((_VISIT, i + 1, True))
+        else:  # _FINISH
+            undecided[u] += 1
+            undecided[v] += 1
 
 
 def _spanning_trees(
     g: Graph, forbidden: tuple[int, ...], nodes: list[int]
 ) -> Iterator[Tree]:
     """The include/exclude search over g's sorted edge list, with no vertex
-    left at a degree in forbidden; nodes[0] counts its calls."""
+    left at a degree in forbidden; nodes[0] counts its nodes."""
     undecided = [g.degree(v) for v in range(g.n)]
     state = (g.edges(), _DSU(g.n), [0] * g.n, undecided, forbidden, nodes)
-    return _search(0, [], state, False)
+    return _search(state)
 
 
 def enumerate_spanning_trees(
@@ -235,7 +254,5 @@ def hist_bound(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> CertifiedPlan | Non
     tree = find_hist(g, limit=limit).tree
     if tree is None:
         return None
-    plan = hit_schedule(tree)
-    bm = simulate(g, plan.schedule)
-    certify(is_complete(bm), "burning a graph is at least as fast as its HIST")
-    return CertifiedPlan(schedule=plan.schedule, bound=sqrt_ceil(g.n), burn_map=bm)
+    schedule = hit_schedule(tree).schedule  # g has the HIST's edges, and more
+    return CertifiedPlan(schedule, sqrt_ceil(g.n), simulate(g, schedule))

@@ -14,7 +14,7 @@ from burnkit import BurningSchedule, build_graph, is_complete, simulate
 from burnkit.cli import _build_parser, main
 from burnkit.errors import CertificationFailed
 from burnkit.graph import MAX_VERTICES, format_edge_list
-from burnkit.generators import path_graph, petersen_graph
+from burnkit.generators import path_graph, petersen_graph, random_hit
 
 from helpers import EIGHT_VERTEX_HIT_EDGES, wheel_graph
 
@@ -92,6 +92,15 @@ def test_hist_found_and_not(capsys, tmp_path):
     c4.write_text("4 4\n0 1\n0 3\n1 2\n2 3\n")
     code, out = run(capsys, "hist", str(c4))
     assert code == 0 and out.strip() == "no HIST"
+
+
+def test_hist_on_a_large_hit_prints_it(capsys, tmp_path):
+    # the search decides one edge per level, 1,199 levels deep here
+    text = format_edge_list(random_hit(1200, 0).graph)
+    path = tmp_path / "hit.el"
+    path.write_text(text)
+    code, out = run(capsys, "hist", str(path), "--limit", "3000")
+    assert code == 0 and out == text
 
 
 def test_spanning_min(capsys, p4_file):

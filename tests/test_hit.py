@@ -25,13 +25,17 @@ from burnkit import (
     sqrt_ceil,
     tree_schedule_via_augmentation,
 )
+from burnkit.cli import main
 from burnkit.errors import (
     BaseScheduleIncomplete,
+    CertificationFailed,
+    LiftVerificationFailed,
     NotAHIT,
     NotDegreeTwo,
     TooSmall,
 )
 from burnkit.generators import path_graph, random_hit, spider_graph, star_graph
+from burnkit.graph import format_edge_list
 
 from helpers import (
     eight_vertex_hit,
@@ -331,3 +335,85 @@ def test_certification_survives_python_o():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "rejected\n"
+
+
+# The planner's checks, each made to fire by a _burn that misreports the last
+# round in which a vertex caught fire.
+real_burn = burnkit.hit._burn
+
+
+def lift_burn_over_by_one(adj, sources, preburned=None):
+    last, size = real_burn(adj, sources, preburned)
+    return (last + 1 if preburned is not None else last), size
+
+
+def test_lift_check_fires(monkeypatch, capsys, tmp_path):
+    t = eight_vertex_hit()  # its one level below the top smooths y
+    path = tmp_path / "hit8.el"
+    path.write_text(format_edge_list(t.graph))
+    monkeypatch.setattr(burnkit.hit, "_burn", lift_burn_over_by_one)
+    with pytest.raises(LiftVerificationFailed):
+        hit_schedule(t)
+    code = main(["hit-plan", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: lift of ")
+
+
+def test_lift_check_fires_under_python_o(tmp_path):
+    path = tmp_path / "hit8.el"
+    path.write_text(format_edge_list(eight_vertex_hit().graph))
+    code = (
+        "import sys\n"
+        "import burnkit.hit\n"
+        "from burnkit.cli import main\n"
+        "assert False, 'asserts are on'\n"
+        "real = burnkit.hit._burn\n"
+        "def burn(adj, sources, preburned=None):\n"
+        "    last, size = real(adj, sources, preburned)\n"
+        "    return (last + 1 if preburned is not None else last), size\n"
+        "burnkit.hit._burn = burn\n"
+        f"sys.exit(main(['hit-plan', {str(path)!r}]))\n"
+    )
+    src = str(Path(burnkit.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: lift of ")
+
+
+def test_pads_from_the_anchor_side_are_certified(monkeypatch):
+    # the top level pads, and a pad fewer leaves x's side unburned
+    t = random_hit(10, 0)
+    planned = hit_schedule(t).schedule.sources
+    assert planned[-1] == planned[0]
+
+    def x_side_burn_under_by_one(adj, sources, preburned=None):
+        last, size = real_burn(adj, sources, preburned)
+        return (last - 1 if preburned is None and len(sources) == 1 else last), size
+
+    monkeypatch.setattr(burnkit.hit, "_burn", x_side_burn_under_by_one)
+    with pytest.raises(CertificationFailed, match="plan's burn map"):
+        hit_schedule(t)
+
+
+def test_anchor_side_bound_fires(monkeypatch):
+    t = eight_vertex_hit()
+    calls = []
+
+    def first_burn_past_the_bound(adj, sources, preburned=None):
+        # the first burn is the top level's x side, whose bound is ceil(sqrt(n))
+        last, size = real_burn(adj, sources, preburned)
+        calls.append(sources)
+        return (sqrt_ceil(t.n) + 1 if len(calls) == 1 else last), size
+
+    monkeypatch.setattr(burnkit.hit, "_burn", first_burn_past_the_bound)
+    with pytest.raises(CertificationFailed, match="anchor side must burn from x"):
+        hit_schedule(t)
+    assert calls[0] == (find_anchor(t).x,)

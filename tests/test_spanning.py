@@ -1,8 +1,12 @@
 import gc
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import burnkit
 from burnkit import (
     Tree,
     build_graph,
@@ -264,6 +268,29 @@ def test_search_matches_frozen_reference():
             ours = [t.graph for t in enumerate_spanning_trees(g)]
             assert ours == [t.graph for t in reference_spanning_trees(g)]
     assert ordered >= 1000
+
+
+def test_search_makes_no_recursive_call():
+    # a search that recurses once per decided edge needs over 1,000 frames here
+    code = (
+        "import sys\n"
+        "from burnkit import enumerate_spanning_trees, find_hist\n"
+        "from burnkit.generators import path_graph, random_hit\n"
+        "t = random_hit(1200, 0)\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(find_hist(t.graph, limit=1200).tree == t)\n"
+        "print(len(list(enumerate_spanning_trees(path_graph(150)))))\n"
+    )
+    src = str(Path(burnkit.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n1\n"
 
 
 def test_hist_bound_star():
