@@ -121,7 +121,7 @@ def random_hit(n: int, seed: int) -> Tree:
 def _int_param(value) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise BadParams(f"parameter value {value!r} is not an integer") from exc
 
 

@@ -4,13 +4,15 @@ The paper's induction for a HIT: an anchor search locates a vertex x all of
 whose neighbor-side components are small except the one across an edge xy;
 x burns first, and y's side is planned next, with y smoothed away when it
 drops to degree 2 and the schedule lifted back with y preburned.
-hit_schedule runs that induction as a descent loop and an ascent loop over
+_plan runs that induction as a descent loop and an ascent loop over
 one mutable adjacency on the input's vertex ids, cutting, smoothing and then
 undoing, with no Tree built below the input and no recursion. x's side
 meets y's side only through xy, so each is burned once: x's side from x on
 the way down, y's side with y preburned on the way up when y was smoothed.
-The final plan is checked by simulation, so the ceil(sqrt(n)) guarantee is
-an executable contract rather than a trusted proof.
+hit_schedule, tree_schedule_via_augmentation and spanning.hist_bound each
+run _plan once and check the plan they return by one simulation on the graph
+they were asked about, so the guarantee is an executable contract rather
+than a trusted proof.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     TooSmall,
     certify,
 )
-from .graph import Tree, build_tree, is_hit, smooth
+from .graph import Graph, Tree, is_hit, smooth
 
 
 def sqrt_ceil(n: int) -> int:
@@ -218,9 +220,10 @@ def _burn(adj, sources: tuple[int, ...], preburned: int | None = None) -> tuple[
     return rnd - 1, len(burnt)
 
 
-def hit_schedule(t: Tree) -> CertifiedPlan:
-    """Burning schedule of length <= ceil(sqrt(n)) for a HIT, by the
-    paper's induction run as two loops over one mutable adjacency.
+def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Sources of a schedule of length <= ceil(sqrt(n)) for the HIT with the
+    sorted adjacency tree_adj, by the paper's induction run as two loops
+    over one mutable copy of it.
 
     Descent, while the level (the component being planned) has s >= 6
     vertices: find the anchor x, y, cut the edge xy, smooth y away when it
@@ -232,12 +235,13 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
     ceil(sqrt(s)) rounds x's side took to burn from x on the way down; y's
     side, on fire at y in round 2, runs one round behind its own schedule.
 
-    Every tie goes to the lowest input id, as it would if each level were
-    re-indexed in id order as a tree of its own.
+    Every level, the input included, must be a HIT, and each level's
+    composed completion must fit its bound, the input's ceil(sqrt(n))
+    included; so a caller need only simulate the plan it returns, on the
+    graph it was asked about. Every tie goes to the lowest input id, as it
+    would if each level were re-indexed in id order as a tree of its own.
     """
-    if not is_hit(t):
-        raise NotAHIT("tree has a degree-2 vertex")
-    adj = [list(nbrs) for nbrs in t.graph.adj]
+    adj = [list(nbrs) for nbrs in tree_adj]
     levels: list[tuple[int, int, int, int, tuple[int, int] | None]] = []
     root = 0
     while True:
@@ -301,10 +305,18 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
         last = max(x_last, y_last + 1)
         sources += (x,) * max(0, x_last - len(sources))  # no-op repeats of x
     certify(
-        all(sorted(nbrs) == list(old) for nbrs, old in zip(adj, t.graph.adj)),
+        all(sorted(nbrs) == list(old) for nbrs, old in zip(adj, tree_adj)),
         "the ascent must rebuild the input tree",
     )
-    schedule = BurningSchedule(sources=sources)
+    return sources
+
+
+def hit_schedule(t: Tree) -> CertifiedPlan:
+    """Burning schedule of length <= ceil(sqrt(n)) for a HIT (see _plan),
+    certified by simulating it on t."""
+    if not is_hit(t):
+        raise NotAHIT("tree has a degree-2 vertex")
+    schedule = BurningSchedule(sources=_plan(t.graph.adj))
     return CertifiedPlan(schedule, sqrt_ceil(t.n), simulate(t.graph, schedule))
 
 
@@ -312,24 +324,26 @@ def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:
     """Attach a fresh leaf to every degree-2 vertex, yielding a HIT.
 
     Returns the augmented tree and the added-leaf -> host map; new leaves get
-    ids n, n+1, ... in ascending host order.
+    ids n, n+1, ... in ascending host order. Each leaf's id exceeds every
+    other, so appending it to its host's adjacency keeps that sorted.
     """
-    hosts = [v for v in range(t.n) if t.degree(v) == 2]
-    edges = list(t.graph.edges())
-    attach: dict[int, int] = {}
-    for offset, host in enumerate(hosts):
-        leaf = t.n + offset
-        edges.append((host, leaf))
-        attach[leaf] = host
-    return build_tree(t.n + len(hosts), edges), attach
+    adj = list(t.graph.adj)
+    hosts = [v for v in range(t.n) if len(adj[v]) == 2]
+    attach = dict(enumerate(hosts, t.n))
+    for leaf, host in attach.items():
+        adj[host] += (leaf,)
+    adj += [(host,) for host in hosts]
+    n = t.n + len(hosts)
+    return Tree(Graph(n=n, adj=tuple(adj), m=n - 1)), attach
 
 
 def tree_schedule_via_augmentation(t: Tree) -> CertifiedPlan:
     """ceil(sqrt(n + d)) schedule for any tree with d degree-2 vertices:
-    augment to a HIT, schedule it, and project added-leaf sources onto their
-    hosts (which can only speed burning in the original tree)."""
+    plan the HIT made by augment_degree2, and project added-leaf sources
+    onto their hosts (which can only speed burning in the original tree).
+    Only the projected plan is simulated: _plan has checked that the
+    augmented tree is a HIT and that its plan fits ceil(sqrt(n + d))."""
     augmented, attach = augment_degree2(t)
-    plan = hit_schedule(augmented)
-    sources = tuple(attach.get(s, s) for s in plan.schedule.sources)
+    sources = tuple(attach.get(s, s) for s in _plan(augmented.graph.adj))
     schedule = BurningSchedule(sources=sources)
     return CertifiedPlan(schedule, sqrt_ceil(augmented.n), simulate(t.graph, schedule))

@@ -31,7 +31,7 @@ from .errors import (
     certify,
 )
 from .graph import Graph, Tree, build_tree
-from .hit import CertifiedPlan, hit_schedule, is_hit, sqrt_ceil
+from .hit import CertifiedPlan, _plan, is_hit, sqrt_ceil
 
 DEFAULT_TREE_LIMIT = 10**6
 DEFAULT_HIST_LIMIT = 20
@@ -254,5 +254,6 @@ def hist_bound(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> CertifiedPlan | Non
     tree = find_hist(g, limit=limit).tree
     if tree is None:
         return None
-    schedule = hit_schedule(tree).schedule  # g has the HIST's edges, and more
+    # g has the HIST's edges, and more
+    schedule = BurningSchedule(sources=_plan(tree.graph.adj))
     return CertifiedPlan(schedule, sqrt_ceil(g.n), simulate(g, schedule))

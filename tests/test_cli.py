@@ -1,12 +1,13 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import burnkit
 import burnkit.cli
@@ -171,7 +172,7 @@ def test_parser_is_built_lazily():
     src = str(Path(burnkit.__file__).resolve().parent.parent)
     code = "import burnkit.cli as c; print(c._build_parser.cache_info().currsize)"
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -425,14 +426,15 @@ def test_exit_code_contract(contract_dir, command, graph_text, plan_text, source
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
+gen_families = st.sampled_from(
+    ["path", "star", "spider", "petersen", "random_tree", "random_hit", "cycle", ""]
+)
 gen_sizes = st.integers(-2, 24) | st.just(MAX_VERTICES + 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    family=st.sampled_from(
-        ["path", "star", "spider", "petersen", "random_tree", "random_hit", "cycle", ""]
-    ),
+    family=gen_families,
     n=st.none() | gen_sizes,
     legs=st.none() | st.lists(gen_sizes, max_size=4).map(lambda xs: ",".join(map(str, xs))),
     seed=st.none() | st.integers(-1, 5),
@@ -456,3 +458,46 @@ def test_gen_exit_code_contract(family, n, legs, seed):
     else:
         header = out.getvalue().split("\n", 1)[0].split()
         assert 1 <= int(header[0]) <= MAX_VERTICES
+
+
+def any_json(keys):
+    """Any JSON value; objects take their keys from keys."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 24) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(keys), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+bench_entries = st.fixed_dictionaries(
+    {"family": gen_families},
+    optional={
+        "sizes": st.lists(gen_sizes, max_size=3),
+        "params": any_json(["n", "legs", "seed", "x"]),
+    },
+)
+bench_specs = st.fixed_dictionaries(
+    {"families": st.lists(bench_entries, max_size=3)},
+    optional={
+        "seeds": st.lists(st.integers(-1, 5), max_size=3) | any_json(["x"]),
+        "exact_limit": any_json(["x"]),
+    },
+) | any_json(["families", "seeds", "exact_limit"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=bench_specs)
+@example(spec={"families": [{"family": "path", "params": {"n": math.inf}}]})
+@example(spec={"families": [{"family": "spider", "params": {"legs": [-math.inf]}}]})
+def test_bench_exit_code_contract(contract_dir, spec):
+    # sizes stay small or cross the vertex cap; no exact solve runs above
+    # 24 vertices, the largest exact_limit drawn
+    path = contract_dir / "spec.json"
+    path.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["bench", str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

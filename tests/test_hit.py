@@ -209,9 +209,9 @@ def test_hit_schedule_matches_reference_on_relabelled_random_hits():
     assert pads > 0
 
 
-def test_tree_plan_matches_reference_on_relabelled_trees():
+def relabelled_trees():
+    """300 relabelled random trees, paths and spiders."""
     rng = random.Random(71)
-    pads = 0
     for i in range(300):
         if i % 3 == 0:
             g = random_tree_rng(rng.randint(1, 150), rng).graph
@@ -219,7 +219,12 @@ def test_tree_plan_matches_reference_on_relabelled_trees():
             g = path_graph(rng.randint(1, 120))
         else:
             g = spider_graph([rng.randint(1, 8) for _ in range(rng.randint(1, 8))])
-        t = Tree(relabel(g, rng))
+        yield Tree(relabel(g, rng))
+
+
+def test_tree_plan_matches_reference_on_relabelled_trees():
+    pads = 0
+    for t in relabelled_trees():
         augmented, attach = augment_degree2(t)
         expected = tuple(attach.get(v, v) for v in reference_hit_schedule(augmented))
         sources = tree_schedule_via_augmentation(t).schedule.sources
@@ -240,7 +245,7 @@ def test_hit_schedule_makes_no_recursive_call():
     )
     src = str(Path(burnkit.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -259,6 +264,26 @@ def test_eccentricity_bound_random_hits():
         side = bridge_component(t, anchor.x, anchor.y)
         dist = t.graph.distances_from(anchor.x)
         assert max(dist[v] for v in side.vertices) <= sqrt_ceil(t.n) - 1
+
+
+def augment_by_edge_list(t: Tree) -> tuple[Tree, dict[int, int]]:
+    """augment_degree2 as an edge list validated from scratch."""
+    hosts = [v for v in range(t.n) if t.degree(v) == 2]
+    leaves = range(t.n, t.n + len(hosts))
+    edges = t.graph.edges() + list(zip(hosts, leaves))
+    return build_tree(t.n + len(hosts), edges), dict(zip(leaves, hosts))
+
+
+def test_augment_matches_edge_list_construction():
+    small = [Tree(path_graph(n)) for n in (1, 2, 3)]
+    for t in [*relabelled_trees(), *enumerate_hits(14), *small]:
+        augmented, attach = augment_degree2(t)
+        expected, expected_attach = augment_by_edge_list(t)
+        got, want = augmented.graph, expected.graph
+        assert (got.n, got.m, got.adj) == (want.n, want.m, want.adj), t.graph.edges()
+        assert attach == expected_attach
+        if is_hit(t):
+            assert got == t.graph and attach == {}
 
 
 def test_augment_p3():
@@ -290,11 +315,59 @@ def test_tree_plan_p9():
 
 
 def test_tree_plan_on_hit_matches_hit_plan():
-    t = eight_vertex_hit()
-    assert (
-        tree_schedule_via_augmentation(t).schedule
-        == hit_schedule(t).schedule
-    )
+    rng = random.Random(73)
+    relabelled = [
+        Tree(relabel(random_hit(rng.randint(4, 400), rng.randrange(2**31)).graph, rng))
+        for _ in range(50)
+    ]
+    for t in [*enumerate_hits(14), *relabelled]:
+        assert (
+            tree_schedule_via_augmentation(t).to_json_dict()
+            == hit_schedule(t).to_json_dict()
+        ), t.graph.edges()
+
+
+def test_tree_plan_builds_and_simulates_once(monkeypatch, capsys, tmp_path):
+    # the input is parsed into the only Graph built from an edge list, and
+    # the projected plan is the only one simulated
+    path = tmp_path / "p9.el"
+    path.write_text(format_edge_list(path_graph(9)))
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for module, name in ((burnkit.graph, "build_graph"), (burnkit.burning, "simulate_modified")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code = main(["tree-plan", str(path)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert calls == ["build_graph", "simulate_modified"]
+
+
+def test_tree_plan_checks_the_augmented_tree_is_a_hit(monkeypatch, capsys, tmp_path):
+    # the augmented plan is not simulated: the planner's level-0 HIT check
+    # must catch an augmentation that leaves a degree-2 vertex leafless
+    t = Tree(path_graph(9))
+    path = tmp_path / "p9.el"
+    path.write_text(format_edge_list(t.graph))
+
+    def one_leaf_short(t):
+        augmented, attach = augment_degree2(t)
+        last = augmented.n - 1
+        del attach[last]
+        return build_tree(last, [e for e in augmented.graph.edges() if last not in e]), attach
+
+    monkeypatch.setattr(burnkit.hit, "augment_degree2", one_leaf_short)
+    with pytest.raises(CertificationFailed, match="every level must be a HIT"):
+        tree_schedule_via_augmentation(t)
+    code = main(["tree-plan", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: every level must be a HIT\n"
 
 
 def test_tree_plan_random():
@@ -327,7 +400,7 @@ def test_certification_survives_python_o():
     )
     src = str(Path(burnkit.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-O", "-c", code],
+        [sys.executable, "-B", "-O", "-c", code],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -377,7 +450,7 @@ def test_lift_check_fires_under_python_o(tmp_path):
     )
     src = str(Path(burnkit.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-O", "-c", code],
+        [sys.executable, "-B", "-O", "-c", code],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,

@@ -22,8 +22,9 @@ from burnkit import (
     sqrt_ceil,
 )
 from burnkit.burning import _rooted_levels, _search_depth
-from burnkit.errors import Disconnected, TooLarge, TooMany, TooSmall
+from burnkit.errors import CertificationFailed, Disconnected, TooLarge, TooMany, TooSmall
 from burnkit.generators import path_graph, petersen_graph, spider_graph, star_graph
+from burnkit.spanning import HistResult
 
 from helpers import (
     atlas_connected_graphs,
@@ -283,7 +284,7 @@ def test_search_makes_no_recursive_call():
     )
     src = str(Path(burnkit.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -319,6 +320,30 @@ def test_hist_bound_sound_on_random_graphs():
             assert not find_hist(g).found
         else:
             assert burning_number_exact(g)[0] <= len(plan.schedule) <= plan.bound
+
+
+def test_hist_bound_simulates_once_on_the_graph(monkeypatch):
+    simulated = []
+    real = burnkit.burning.simulate_modified
+
+    def recording(g, m):
+        simulated.append(g)
+        return real(g, m)
+
+    monkeypatch.setattr(burnkit.burning, "simulate_modified", recording)
+    g = petersen_graph()
+    assert hist_bound(g) is not None
+    assert simulated == [g]
+
+
+def test_hist_bound_checks_the_hist_is_a_hit(monkeypatch):
+    # the HIST's plan is not simulated on the HIST: the planner's level-0
+    # HIT check must refuse a spanning tree with a degree-2 vertex
+    g = cycle_graph(5)
+    fake = HistResult(tree=Tree(path_graph(5)), nodes_expanded=0)
+    monkeypatch.setattr(burnkit.spanning, "find_hist", lambda g, limit: fake)
+    with pytest.raises(CertificationFailed, match="every level must be a HIT"):
+        hist_bound(g)
 
 
 def test_solvers_leave_no_reference_cycles():
