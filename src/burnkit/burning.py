@@ -17,10 +17,19 @@ only on the radius-r balls containing u whose uncovered parts no other such
 ball's part contains. On a tree that is the single ball B(a, r), with a the
 r-th ancestor of u or the root (Slater, R-domination in graphs, 1976). States
 whose uncovered vertices outnumber the best-case coverage of the free radii
-are pruned, and every state (covered set, free radii) that failed is
+are pruned, and so are states that need more balls than there are free
+radii by a lower bound: with R the largest free radius, greedily pick the
+deepest uncovered vertex and strike out the ball of radius R around its
+R-th ancestor on a tree, or its own ball of radius 2R otherwise. The picks
+are pairwise more than 2R apart, so each needs a ball of its own; on a tree
+their number is the minimum R-covering, which equals the maximum
+2R-packing (Meir and Moon, Relations between packing and covering numbers
+of a tree, 1975). Every state (covered set, free radii) that failed is
 remembered. The witness is then fixed one position at a time: the lowest
 vertex whose ball leaves a state the prover accepts, which makes it the
-lexicographically smallest optimal schedule.
+lexicographically smallest optimal schedule. The same picks refute, without
+a proof, a vertex whose ball leaves more of them uncovered than there are
+free radii left.
 """
 
 from __future__ import annotations
@@ -223,14 +232,57 @@ def _maximal_parts(layer: list[int], u: int, unc: int) -> list[int]:
     return kept
 
 
+def _packing(
+    unc: int,
+    radius: int,
+    limit: int,
+    levels: list[int],
+    ancestors: list[list[int]] | None,
+    balls: list[list[int]],
+) -> int:
+    """The vertices of unc that a greedy cover picks, deepest first,
+    stopping once it holds more than limit. On a tree each pick w strikes
+    out the ball of the given radius around w's radius-th ancestor (or the
+    root), which holds every vertex of unc that any ball of that radius
+    over w holds (Slater, R-domination in graphs, 1976); otherwise it
+    strikes out w's own ball of twice the radius. Either way the picks are
+    pairwise more than twice the radius apart, so covering unc with balls
+    of at most that radius takes one ball per pick. On a tree the count is
+    exactly the fewest such balls: the minimum r-covering of a tree equals
+    its maximum 2r-packing (Meir and Moon, Relations between packing and
+    covering numbers of a tree, 1975). levels and ancestors are
+    _search_depth's."""
+    if ancestors is None:
+        layer, centre = balls[2 * radius], None
+    else:
+        layer, centre = balls[radius], ancestors[radius]
+    picks = count = 0
+    d = len(levels) - 1
+    while unc and count <= limit:
+        while not unc & levels[d]:
+            d -= 1
+        low = unc & levels[d]
+        low &= -low
+        picks |= low
+        count += 1
+        w = low.bit_length() - 1
+        unc &= ~layer[w if centre is None else centre[w]]
+    return picks
+
+
 def _feasible(covered: int, free: int, cap: int, state: tuple) -> bool:
     """Whether one ball of each radius in the bitmask free can cover the
     rest of the graph; cap is the sum of maxcov over those radii, and state
     is _search_depth's (full, k, levels, ancestors, balls, maxcov, failed).
-    For each radius r, largest first, only balls that cover the deepest
-    uncovered vertex u are tried: on a tree the ball around u's r-th
-    ancestor, else the balls whose uncovered parts no other such ball's
-    part contains. Failed states are added to failed."""
+    A state fails at once when the uncovered vertices outnumber cap, or
+    when _packing at the largest free radius R picks more vertices than
+    there are free radii: no two picks share a ball of radius at most R, and
+    on a tree the count is the fewest radius-R balls that cover the rest
+    (Slater 1976; Meir and Moon 1975). For each radius r, largest first,
+    only balls that cover the deepest uncovered vertex u are tried: on a
+    tree the ball around u's r-th ancestor, else the balls whose uncovered
+    parts no other such ball's part contains. Failed states are added to
+    failed."""
     full, k, levels, ancestors, balls, maxcov, failed = state
     if covered == full:
         return True
@@ -245,6 +297,11 @@ def _feasible(covered: int, free: int, cap: int, state: tuple) -> bool:
         d -= 1
     low = unc & levels[d]
     u = (low & -low).bit_length() - 1
+    slots = free.bit_count()
+    picks = _packing(unc, free.bit_length() - 1, slots, levels, ancestors, balls)
+    if picks.bit_count() > slots:
+        failed.add(key)
+        return False
     rest = free
     while rest:
         r = rest.bit_length() - 1
@@ -275,9 +332,12 @@ def _search_depth(
     together with the preburn set's radius-(k-1) balls, cover all vertices;
     None if none. levels and ancestors come from _rooted_levels(g). Decides
     k with _feasible, then fixes each position in turn to the lowest vertex
-    that leaves a feasible state. Grows the shared ball layers and, on a
-    tree, ancestors[r][v], the r-th ancestor of v, to radius k-1."""
-    _balls_by_radius(g, k - 1, balls, maxcov)
+    that leaves a feasible state; a vertex whose ball leaves more of the
+    position's _packing picks uncovered than there are free radii left is
+    refuted without a proof. Grows ancestors[r][v], the r-th ancestor of v
+    on a tree, to radius k-1, and the shared ball layers to radius k-1 on a
+    tree and otherwise to 2k-2, for _packing's balls of twice a radius."""
+    _balls_by_radius(g, k - 1 if ancestors is not None else 2 * k - 2, balls, maxcov)
     while ancestors is not None and len(ancestors) < k:
         parent = ancestors[1]
         ancestors.append([parent[a] for a in ancestors[-1]])
@@ -296,8 +356,17 @@ def _search_depth(
         free ^= 1 << radius
         cap -= maxcov[radius]
         layer = balls[radius]
+        slots = free.bit_count()
+        picks = 0
+        if free:
+            picks = _packing(full ^ covered, radius - 1, g.n, levels, ancestors, balls)
         v = next(
-            (v for v in range(g.n) if _feasible(covered | layer[v], free, cap, state)),
+            (
+                v
+                for v in range(g.n)
+                if (picks & ~layer[v]).bit_count() <= slots
+                and _feasible(covered | layer[v], free, cap, state)
+            ),
             None,
         )
         certify(v is not None, "a feasible state must admit a next source")

@@ -92,7 +92,17 @@ def _random_tree(n: int, rng: random.Random) -> Tree:
 
 
 def _random_word(n: int, rng: random.Random) -> list[int]:
-    return [rng.randrange(n) for _ in range(max(0, n - 2))]
+    """n - 2 draws of rng.randrange(n), inlined: CPython draws bit_length(n)
+    random bits and rejects values of n or more, so the word is the same."""
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    word = []
+    for _ in range(n - 2):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        word.append(r)
+    return word
 
 
 def random_hit(n: int, seed: int) -> Tree:

@@ -102,6 +102,17 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
     return build_graph(n, sorted(edges))
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertices numbered row by row."""
+    edges = []
+    for v in range(rows * cols):
+        if v % cols + 1 < cols:
+            edges.append((v, v + 1))
+        if v + cols < rows * cols:
+            edges.append((v, v + cols))
+    return build_graph(rows * cols, edges)
+
+
 def random_tree_rng(n: int, rng: random.Random) -> Tree:
     from burnkit.generators import prufer_decode
 
@@ -301,6 +312,18 @@ def reference_search_depth(
         return False
 
     return tuple(prefix) if dfs(0, initial) else None
+
+
+def min_ball_cover(layer: list[int], target: int) -> int:
+    """Fewest balls of layer (bitmasks) whose union holds the bitmask
+    target, by breadth-first search over the covered parts of target."""
+    parts = {ball & target for ball in layer} - {0}
+    frontier, seen, count = {0}, {0}, 0
+    while target not in frontier:
+        frontier = {c | p for c in frontier for p in parts} - seen
+        seen |= frontier
+        count += 1
+    return count
 
 
 def reference_find_anchor(t: Tree) -> Anchor:

@@ -28,6 +28,7 @@ from burnkit.errors import (
 from burnkit.burning import (
     _balls_by_radius,
     _maximal_parts,
+    _packing,
     _rooted_levels,
     _search_depth,
 )
@@ -35,6 +36,8 @@ from burnkit.generators import path_graph, petersen_graph, random_tree, spider_g
 
 from helpers import (
     atlas_connected_graphs,
+    grid_graph,
+    min_ball_cover,
     naive_burning_number,
     naive_modified_burning_number,
     random_connected_graph,
@@ -287,6 +290,79 @@ def test_maximal_parts_keep_only_uncontained_sets():
     _balls_by_radius(cycle, 1, balls, maxcov)
     parts = _maximal_parts(balls[1], 0, 0b11111)
     assert sorted(parts) == [0b00111, 0b10011, 0b11001]
+
+
+def _packing_tables(g, radius):
+    """_search_depth's levels and ancestors, grown to radius on a tree, and
+    ball layers to radius 2*radius."""
+    levels, ancestors = _rooted_levels(g)
+    while ancestors is not None and len(ancestors) <= radius:
+        ancestors.append([ancestors[1][a] for a in ancestors[-1]])
+    balls = []
+    _balls_by_radius(g, 2 * radius, balls, [])
+    return levels, ancestors, balls
+
+
+def _check_picks(picks, target, far):
+    # picks lie in target, and no two are within distance 2R: far is the
+    # radius-2R ball layer
+    assert picks & target == picks
+    rest = picks
+    while rest:
+        low = rest & -rest
+        assert far[low.bit_length() - 1] & picks == low
+        rest ^= low
+
+
+def test_packing_is_the_minimum_cover_on_trees():
+    # every tree up to 9 vertices, also relabelled, every radius: the
+    # greedy's picks number exactly the fewest radius-R balls covering a
+    # random target set (Slater; Meir and Moon)
+    rng = random.Random(25)
+    trees = [build_graph(1, [])]
+    for n in range(2, 10):
+        trees += [build_graph(n, list(t.edges())) for t in nx.nonisomorphic_trees(n)]
+    for g in trees:
+        for h in (g, relabel(g, rng)):
+            for radius in range(h.n):
+                levels, ancestors, balls = _packing_tables(h, radius)
+                for _ in range(3):
+                    target = rng.getrandbits(h.n)
+                    picks = _packing(target, radius, h.n, levels, ancestors, balls)
+                    assert picks.bit_count() == min_ball_cover(balls[radius], target)
+                    _check_picks(picks, target, balls[2 * radius])
+
+
+def test_packing_bounds_the_minimum_cover_with_cycles():
+    # random graphs with cycles (n <= 12): the picks are a 2R-packing of the
+    # target, so they never outnumber the fewest radius-R balls covering it
+    rng = random.Random(26)
+    for _ in range(120):
+        g = relabel(random_connected_graph(rng.randint(3, 12), rng), rng)
+        if g.m == g.n - 1:
+            continue
+        for radius in range(g.n):
+            levels, ancestors, balls = _packing_tables(g, radius)
+            for _ in range(2):
+                target = rng.getrandbits(g.n)
+                picks = _packing(target, radius, g.n, levels, ancestors, balls)
+                assert picks.bit_count() <= min_ball_cover(balls[radius], target)
+                _check_picks(picks, target, balls[2 * radius])
+
+
+def test_exact_pinned_larger_instances():
+    # the witnesses the solver gave before the packing bound, which took
+    # about 3 s together then
+    pinned = [
+        (random_tree(200, 0).graph, (9, (0, 85, 56, 47, 1, 70, 35, 68, 97))),
+        (random_tree(200, 1).graph, (10, (0, 7, 4, 131, 109, 105, 22, 35, 142, 79))),
+        (random_tree(200, 2).graph, (10, (0, 159, 190, 6, 34, 194, 46, 147, 55, 75))),
+        (grid_graph(8, 8), (6, (0, 4, 50, 39, 62, 45))),
+        (grid_graph(10, 10), (6, (13, 68, 70, 94, 9, 29))),
+    ]
+    for g, (b, sources) in pinned:
+        k, witness = burning_number_exact(g, limit=200)
+        assert (k, witness.sources) == (b, sources)
 
 
 def test_tree_witness_matches_naive_on_all_small_trees():

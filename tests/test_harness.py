@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from burnkit import build_tree, format_edge_list, is_hit, parse_edge_list
@@ -12,6 +14,7 @@ from burnkit.bench import (
 )
 from burnkit.errors import BadParams, CertificationFailed
 from burnkit.generators import (
+    _random_word,
     generate,
     path_graph,
     petersen_graph,
@@ -49,6 +52,16 @@ def test_random_tree_deterministic():
     b = random_tree(30, seed=9)
     assert a.graph == b.graph
     assert random_tree(30, seed=10).graph != a.graph
+
+
+def test_random_word_is_randrange():
+    # the inlined draw gives randrange's words and leaves the generator in
+    # the same state, so random_tree and random_hit are unchanged
+    for n in range(1, 301):
+        for seed in range(4):
+            fast, ref = random.Random(seed), random.Random(seed)
+            assert _random_word(n, fast) == [ref.randrange(n) for _ in range(n - 2)]
+            assert fast.random() == ref.random()
 
 
 def test_generator_output_byte_deterministic():

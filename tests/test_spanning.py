@@ -28,6 +28,7 @@ from burnkit.spanning import HistResult
 
 from helpers import (
     atlas_connected_graphs,
+    grid_graph,
     networkx_spanning_trees,
     random_connected_graph,
     random_tree_rng,
@@ -79,16 +80,6 @@ def test_spanning_min_examples():
     k, tree, sched = burning_number_via_spanning_trees(petersen_graph())
     assert k == 3 == burning_number_exact(petersen_graph())[0]
     assert is_complete(simulate(tree.graph, sched))
-
-
-def grid_graph(rows, cols):
-    edges = []
-    for v in range(rows * cols):
-        if v % cols + 1 < cols:
-            edges.append((v, v + 1))
-        if v + cols < rows * cols:
-            edges.append((v, v + cols))
-    return build_graph(rows * cols, edges)
 
 
 def sparse_connected_graph(n, rng):
