@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import MalformedEdge, NotAnEdge, NotATree, NotDegreeTwo, Unreachable
 
 # Largest vertex count an edge-list header may declare. build_graph allocates
-# one adjacency set per vertex, so the header is checked before that; the cap
+# one adjacency list per vertex, so the header is checked before that; the cap
 # is ten times the 10^5-vertex planning target.
 MAX_VERTICES = 1_000_000
 
@@ -66,21 +66,23 @@ def build_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise MalformedEdge(f"negative vertex count {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    seen: set[int] = set()  # edge {u, v} with u < v as u * n + v
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise MalformedEdge(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise MalformedEdge(f"self-loop at {u}")
-        key = (min(u, v), max(u, v))
+        key = u * n + v if u < v else v * n + u
         if key in seen:
             raise MalformedEdge(f"duplicate edge ({u},{v})")
         seen.add(key)
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj:
+        nbrs.sort()
     # from a list: tuple(generator) resizes, piling tuples on CPython's free lists
-    return Graph(n=n, adj=tuple([tuple(sorted(s)) for s in adj]), m=len(seen))
+    return Graph(n=n, adj=tuple([tuple(nbrs) for nbrs in adj]), m=len(seen))
 
 
 def distance(g: Graph, u: int, v: int) -> int:

@@ -9,6 +9,10 @@ one mutable adjacency on the input's vertex ids, cutting, smoothing and then
 undoing, with no Tree built below the input and no recursion. x's side
 meets y's side only through xy, so each is burned once: x's side from x on
 the way down, y's side with y preburned on the way up when y was smoothed.
+The input is rooted once, and the descent keeps the parents and subtree
+sizes of that rooting valid as it cuts and smooths, so no level is re-rooted
+or re-scanned: the anchor walk reads its side sizes from them, and a level's
+HIT check looks only at the vertices whose adjacency the step changed.
 hit_schedule, tree_schedule_via_augmentation and spanning.hist_bound each
 run _plan once and check the plan they return by one simulation on the graph
 they were asked about, so the guarantee is an executable contract rather
@@ -83,41 +87,39 @@ def _branch_sizes(t: Tree, x: int) -> dict[int, int]:
     return sizes
 
 
-def _rooted(adj, root: int) -> tuple[list[int], dict[int, int], dict[int, int]]:
+def _rooted(adj, root: int) -> tuple[list[int], list[int], list[int]]:
     """BFS over the component of root in the forest adj: its vertices in BFS
-    order, each vertex's parent (-1 for root) and the size of its subtree."""
+    order, then two lists indexed by vertex: each one's parent (-1 for root,
+    -2 outside the component) and the size of its subtree."""
+    parent = [-2] * len(adj)
+    parent[root] = -1
     order = [root]
-    parent = {root: -1}
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
+    for u in order:  # order grows while it is scanned
         for w in adj[u]:
-            if w not in parent:
+            if parent[w] == -2:
                 parent[w] = u
                 order.append(w)
-    sub = dict.fromkeys(order, 1)
-    for v in reversed(order[1:]):
+    sub = [1] * len(adj)
+    for v in order[:0:-1]:
         sub[parent[v]] += sub[v]
     return order, parent, sub
 
 
-def _anchor(
-    adj, order: list[int], parent: dict[int, int], sub: dict[int, int]
-) -> Anchor:
-    """The anchor walk on one component, rooted by _rooted (see find_anchor).
+def _anchor(adj, s: int, parent: list[int], sub: list[int], leaf: int) -> Anchor:
+    """The anchor walk (see find_anchor) on a component of s vertices whose
+    lowest leaf is leaf, rooted by parent with subtree sizes sub.
 
     Deleting x leaves the component of a neighbour w with sub[w] vertices
     when w is a child of x, and with the rest of the tree, s - sub[x], when
     w is x's parent, so each step reads its side sizes without a search.
+    These sizes do not depend on the root.
     """
-    s = len(order)
     tau = 2 * sqrt_ceil(s) - 1
 
     def side(x: int, w: int) -> int:
         return sub[w] if parent[w] == x else s - sub[x]
 
-    came_from = min(v for v in order if len(adj[v]) == 1)
+    came_from = leaf
     x = adj[came_from][0]
     for _ in range(s):
         heavy = [w for w in adj[x] if w != came_from and side(x, w) >= tau]
@@ -146,8 +148,8 @@ def find_anchor(t: Tree) -> Anchor:
     the one behind us is light (size < 2*ceil(sqrt(n)) - 1)."""
     if t.n < 6:
         raise TooSmall(f"anchor search needs n >= 6, got {t.n}")
-    adj = t.graph.adj
-    return _anchor(adj, *_rooted(adj, 0))
+    _, parent, sub = _rooted(t.graph.adj, 0)
+    return _anchor(t.graph.adj, t.n, parent, sub, t.leaves[0])
 
 
 def lift_schedule(t: Tree, v: int, s: BurningSchedule) -> BurningSchedule:
@@ -235,23 +237,35 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     ceil(sqrt(s)) rounds x's side took to burn from x on the way down; y's
     side, on fire at y in round 2, runs one round behind its own schedule.
 
-    Every level, the input included, must be a HIT, and each level's
-    composed completion must fit its bound, the input's ceil(sqrt(n))
-    included; so a caller need only simulate the plan it returns, on the
-    graph it was asked about. Every tie goes to the lowest input id, as it
-    would if each level were re-indexed in id order as a tree of its own.
+    The input is rooted once, and the descent keeps that rooting valid on
+    each level: a cut takes x's side off y's ancestors' subtree sizes, or
+    makes y the root when x was its parent, and a smoothing hangs y's child
+    from y's parent, or roots the level at one of a root y's two children.
+    The anchor walk ends at y, so the leaf it starts from is on y's side;
+    and since no step makes a leaf, the input's lowest leaf is the lowest
+    leaf of every level the descent walks on.
+
+    The input must be a connected HIT, and since a step changes only the
+    adjacency of y, or of y's two neighbours when it smooths y, their
+    degrees certify that the next level is a HIT too. Each level's composed
+    completion must fit its bound, the input's ceil(sqrt(n)) included; so a
+    caller need only simulate the plan it returns, on the graph it was asked
+    about. Every tie goes to the lowest input id, as it would if each level
+    were re-indexed in id order as a tree of its own.
     """
     adj = [list(nbrs) for nbrs in tree_adj]
     levels: list[tuple[int, int, int, int, tuple[int, int] | None]] = []
+    order, parent, sub = _rooted(adj, 0)
+    s = len(adj)
+    certify(len(order) == s, "the planner's input must be connected")
+    certify(all(len(nbrs) != 2 for nbrs in adj), "every level must be a HIT")
+    # y is the walk's start, or an inner vertex of degree >= 3 on its path,
+    # so a cut leaves y a leaf only when the next level is {y}
+    leaf = next((v for v in range(s) if len(adj[v]) == 1), -1)
     root = 0
-    while True:
-        order, parent, sub = _rooted(adj, root)
-        s = len(order)
-        certify(all(len(adj[v]) != 2 for v in order), "every level must be a HIT")
-        if s < 6:
-            break
+    while s >= 6:
         b = sqrt_ceil(s)
-        anchor = _anchor(adj, order, parent, sub)
+        anchor = _anchor(adj, s, parent, sub, leaf)
         x, y = anchor.x, anchor.y
         adj[x].remove(y)
         adj[y].remove(x)
@@ -263,15 +277,36 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
             "heavy side must fit the recursion measure",
         )
         certify(x_last <= b, "anchor side must burn from x within the bound")
+        s -= x_size
+        up, lost = -1, 0  # up and its ancestors lose lost vertices
+        if parent[x] == y:
+            up, lost = y, x_size
+        else:  # y's subtree was y's side
+            parent[y] = -1
+            root = y
         joined = None
-        root = y
+        changed: tuple[int, ...] = (y,)
         if len(adj[y]) == 2:  # smooth y away
             a, c = adj[y]
             adj[a][adj[a].index(y)] = c
             adj[c][adj[c].index(y)] = a
-            joined = (a, c)
-            root = a
+            joined = changed = (a, c)
+            s -= 1
+            if y == root:  # both are y's children: hang c from a
+                parent[a], parent[c] = -1, a
+                sub[a] += sub[c]
+                root, up = a, -1
+            else:  # y's child takes its place under y's parent
+                p = parent[y]
+                parent[c if a == p else a] = p
+                up, lost = p, lost + 1
+        certify(all(len(adj[v]) != 2 for v in changed), "every level must be a HIT")
+        while up != -1:
+            sub[up] -= lost
+            up = parent[up]
         levels.append((x, y, b, x_last, joined))
+    order = _rooted(adj, root)[0]
+    certify(len(order) == s, "the base level must have the tracked size")
     if s <= 2:
         sources = tuple(sorted(order))
     else:  # the star K_{1,3} or K_{1,4}: its centre, then its lowest leaf

@@ -28,6 +28,7 @@ from burnkit import (
     simulate,
     simulate_modified,
 )
+from burnkit.errors import MalformedEdge
 from burnkit.hit import Anchor
 
 
@@ -402,6 +403,26 @@ def reference_hit_schedule(t: Tree) -> tuple[int, ...]:
     ):
         sources += (x,)
     return sources
+
+
+def reference_build_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """build_graph as first written: one set per vertex and tuple edge keys."""
+    if n < 0:
+        raise MalformedEdge(f"negative vertex count {n}")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise MalformedEdge(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise MalformedEdge(f"self-loop at {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise MalformedEdge(f"duplicate edge ({u},{v})")
+        seen.add(key)
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in adj), m=len(seen))
 
 
 def wheel_graph(rim: int) -> Graph:

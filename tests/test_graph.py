@@ -26,7 +26,12 @@ from burnkit.errors import (
 from burnkit.generators import petersen_graph, star_graph
 from burnkit.graph import MAX_VERTICES
 
-from helpers import enumerate_hits, eight_vertex_hit, random_tree_rng
+from helpers import (
+    eight_vertex_hit,
+    enumerate_hits,
+    random_tree_rng,
+    reference_build_graph,
+)
 
 
 def test_build_k2():
@@ -190,6 +195,44 @@ def test_internal_bound_tightest_admissible():
             continue
         n = (t.n + 1 + 1) // 2  # smallest n with |T| <= 2n-1
         assert internal_vertex_count(t) <= n - 2
+
+
+def outcome(build, n, edges):
+    """The Graph build makes, or the message of the MalformedEdge it raises."""
+    try:
+        return build(n, edges)
+    except MalformedEdge as exc:
+        return str(exc)
+
+
+def test_build_graph_matches_reference_builder():
+    # shuffled edge lists, some with out-of-range, self-loop or duplicate
+    # edges at random positions: the same Graph or the same first error
+    rng = random.Random(83)
+    errors = 0
+    for _ in range(600):
+        n = rng.randint(0, 40)
+        pairs = list(itertools.combinations(range(n), 2))
+        picked = rng.sample(pairs, rng.randint(0, len(pairs)))
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in picked]
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            kind = rng.randrange(3)
+            if kind == 0:
+                bad = (rng.randint(-2, n + 2), rng.choice([-1, n, n + 1]))
+                bad = bad if rng.random() < 0.5 else bad[::-1]
+            elif kind == 1 and n:
+                v = rng.randrange(n)
+                bad = (v, v)
+            elif edges:
+                u, v = rng.choice(edges)
+                bad = (u, v) if rng.random() < 0.5 else (v, u)
+            else:
+                continue
+            edges.insert(rng.randint(0, len(edges)), bad)
+        want = outcome(reference_build_graph, n, edges)
+        assert outcome(build_graph, n, edges) == want, (n, edges)
+        errors += isinstance(want, str)
+    assert 100 < errors < 500
 
 
 def test_edge_list_round_trip():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -34,8 +35,15 @@ from burnkit.errors import (
     NotDegreeTwo,
     TooSmall,
 )
-from burnkit.generators import path_graph, random_hit, spider_graph, star_graph
-from burnkit.graph import format_edge_list
+from burnkit.generators import (
+    path_graph,
+    random_hit,
+    random_tree,
+    spider_graph,
+    star_graph,
+)
+from burnkit.graph import build_graph, format_edge_list
+from burnkit.hit import _plan
 
 from helpers import (
     eight_vertex_hit,
@@ -231,6 +239,170 @@ def test_tree_plan_matches_reference_on_relabelled_trees():
         assert sources == expected, t.graph.edges()
         pads += padded(hit_schedule(augmented).schedule.sources)
     assert pads > 0
+
+
+real_anchor = burnkit.hit._anchor
+
+
+def check_rooting(adj, s, parent, sub, leaf):
+    """Check the rooting _anchor is given against a fresh BFS of the level
+    from leaf."""
+    level, seen = [leaf], {leaf}
+    for u in level:  # level grows while it is scanned
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                level.append(w)
+    assert s == len(level)
+    assert leaf == min(v for v in level if len(adj[v]) == 1)
+    roots = [v for v in level if parent[v] == -1]
+    assert len(roots) == 1
+    order = roots[:]
+    for u in order:
+        for w in adj[u]:
+            if w != parent[u]:
+                assert parent[w] == u
+                order.append(w)
+    assert len(order) == s
+    size = dict.fromkeys(order, 1)
+    for v in order[:0:-1]:
+        size[parent[v]] += size[v]
+    assert all(sub[v] == size[v] for v in order)
+
+
+@pytest.fixture
+def rooting_checked(monkeypatch):
+    """The sizes of the levels whose rooting was checked before _anchor ran."""
+    checked = []
+
+    def checked_anchor(adj, s, parent, sub, leaf):
+        check_rooting(adj, s, parent, sub, leaf)
+        checked.append(s)
+        return real_anchor(adj, s, parent, sub, leaf)
+
+    monkeypatch.setattr(burnkit.hit, "_anchor", checked_anchor)
+    return checked
+
+
+def test_rooting_is_kept_on_every_level(rooting_checked):
+    rng = random.Random(79)
+    hits = [
+        Tree(relabel(random_hit(rng.randint(4, 400), rng.randrange(2**31)).graph, rng))
+        for _ in range(60)
+    ]
+    for t in [*relabelled_trees(), *hits]:
+        augmented, _ = augment_degree2(t)
+        sources = hit_schedule(augmented).schedule.sources
+        assert sources == reference_hit_schedule(augmented)
+    assert len(rooting_checked) > 2000
+
+
+def top_level_update(t: Tree) -> tuple[str, str]:
+    """How the planner, which roots its input at 0, updates that rooting
+    after cutting the top level's anchor edge xy: the cut, then the
+    smoothing of y if y drops to degree 2."""
+    anchor = find_anchor(t)
+    x, y = anchor.x, anchor.y
+    depth = t.graph.distances_from(0)
+    cut = "x below y" if depth[x] == depth[y] + 1 else "y below x"
+    if t.degree(y) != 3:
+        return cut, "no smoothing"
+    y_is_root = y == 0 or cut == "y below x"
+    return cut, "root y smoothed" if y_is_root else "non-root y smoothed"
+
+
+@pytest.mark.parametrize(
+    "edges,update",
+    [
+        (
+            [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (3, 12), (3, 13)]
+            + [(2, v) for v in range(6, 12)],
+            ("x below y", "non-root y smoothed"),
+        ),
+        (
+            [(0, 1), (0, 2), (0, 3)]
+            + [(1, v) for v in range(4, 8)]
+            + [(2, v) for v in range(8, 14)],
+            ("x below y", "root y smoothed"),
+        ),
+        (
+            [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (3, 10), (3, 11), (4, 12), (4, 13)]
+            + [(2, v) for v in range(6, 10)],
+            ("y below x", "root y smoothed"),
+        ),
+        (
+            [(0, v) for v in range(1, 7)] + [(1, v) for v in range(7, 13)],
+            ("x below y", "no smoothing"),
+        ),
+        (
+            [(0, 1), (0, 2), (0, 3), (2, 9), (2, 10), (3, 11), (3, 12)]
+            + [(1, v) for v in range(4, 9)],
+            ("y below x", "no smoothing"),
+        ),
+    ],
+)
+def test_each_rooting_update(rooting_checked, edges, update):
+    # the level below the top has >= 6 vertices, so its anchor walk checks
+    # the rooting that the top level's update left
+    t = build_tree(len(edges) + 1, edges)
+    assert is_hit(t) and top_level_update(t) == update
+    rooting_checked.clear()
+    assert hit_schedule(t).schedule.sources == reference_hit_schedule(t)
+    assert len(rooting_checked) >= 2
+
+
+FOREST_ADJ = build_graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)]).adj
+
+
+def test_plan_rejects_a_forest():
+    # each star alone is a HIT; planned from 0, the second would be missed
+    with pytest.raises(CertificationFailed, match="must be connected"):
+        _plan(FOREST_ADJ)
+
+
+def test_connectivity_check_fires_under_python_o():
+    code = (
+        "from burnkit.hit import _plan\n"
+        "from burnkit.errors import CertificationFailed\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        f"    _plan({FOREST_ADJ!r})\n"
+        "except CertificationFailed as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(burnkit.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-B", "-O", "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "the planner's input must be connected\n"
+
+
+def sources_digest(sources: tuple[int, ...]) -> str:
+    return hashlib.sha256(",".join(map(str, sources)).encode()).hexdigest()
+
+
+def test_large_plans_are_pinned():
+    # too large for reference_hit_schedule; both digests were taken from
+    # the planner that re-rooted and re-scanned every level
+    sources = tree_schedule_via_augmentation(random_tree(30000, 0)).schedule.sources
+    assert len(sources) == 172
+    assert sources_digest(sources) == (
+        "0d4df7b0544f48611edef4436e8f6b75e9501d45ae22292a97a7054c50645393"
+    )
+    n = 10**4
+    perm = list(range(n))
+    random.Random(5).shuffle(perm)
+    path = build_tree(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+    sources = tree_schedule_via_augmentation(path).schedule.sources
+    assert len(sources) == 142
+    assert sources_digest(sources) == (
+        "535e5fc1968eaabe90f75975873d6691853d2bdad99710f21748472467105d40"
+    )
 
 
 def test_hit_schedule_makes_no_recursive_call():
