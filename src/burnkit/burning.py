@@ -101,7 +101,7 @@ class BurnMap:
     @property
     def completion(self) -> int | None:
         """Max burn round, or None if some vertex stayed unburned."""
-        if any(r is None for r in self.rounds):
+        if None in self.rounds:
             return None
         return max(self.rounds) if self.rounds else 0
 
@@ -113,7 +113,7 @@ class BurnMap:
 
 
 def is_complete(bm: BurnMap) -> bool:
-    return all(r is not None for r in bm.rounds)
+    return None not in bm.rounds
 
 
 def _check_ids(g: Graph, ids) -> None:

@@ -43,7 +43,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        return sum(1 for d in self.distances_from(0) if d is not None) == self.n
+        return None not in self.distances_from(0)
 
     def distances_from(self, source: int) -> list[int | None]:
         """BFS distance from source to every vertex; None if unreachable."""
@@ -198,7 +198,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(tokens) < 2:
         raise MalformedEdge("edge list needs a header line 'n m'")
     try:
-        nums = [int(tok) for tok in tokens]
+        nums = list(map(int, tokens))
     except ValueError as exc:
         raise MalformedEdge(f"non-integer token in edge list: {exc}") from exc
     n, m = nums[0], nums[1]
@@ -206,8 +206,7 @@ def parse_edge_list(text: str) -> Graph:
         raise MalformedEdge(f"vertex count {n} exceeds the cap {MAX_VERTICES}")
     if len(nums) != 2 + 2 * m:
         raise MalformedEdge(f"expected {m} edges, found {(len(nums) - 2) // 2}")
-    edges = [(nums[2 + 2 * i], nums[3 + 2 * i]) for i in range(m)]
-    return build_graph(n, edges)
+    return build_graph(n, list(zip(nums[2::2], nums[3::2])))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -7,8 +7,12 @@ drops to degree 2 and the schedule lifted back with y preburned.
 _plan runs that induction as a descent loop and an ascent loop over
 one mutable adjacency on the input's vertex ids, cutting, smoothing and then
 undoing, with no Tree built below the input and no recursion. x's side
-meets y's side only through xy, so each is burned once: x's side from x on
-the way down, y's side with y preburned on the way up when y was smoothed.
+meets y's side only through xy, so it is burned once, from x on the way
+down, and that burn tags it as one piece of the input; the base is one more.
+When y was smoothed, the lift lemma says y's side with y preburned still
+burns within the schedule below; the ascent checks it by burning again only
+the piece that y rejoins, and bounds the rest of y's side by the last rounds
+its pieces already burned in, a bound never below the exact burn of y's side.
 The input is rooted once, and the descent keeps the parents and subtree
 sizes of that rooting valid as it cuts and smooths, so no level is re-rooted
 or re-scanned: the anchor walk reads its side sizes from them, and a level's
@@ -200,26 +204,78 @@ class CertifiedPlan:
         }
 
 
-def _burn(adj, sources: tuple[int, ...], preburned: int | None = None) -> tuple[int, int]:
-    """Burn the component of the forest adj that holds the sources, with no
-    round limit: the preburned vertex (if any) and sources[0] catch fire in
-    round 1 and sources[i] in round i + 1. Returns the last round in which a
+def _burn(adj, tag: list[int], old: int, new: int, ignitions) -> tuple[int, int]:
+    """Burn the vertices tagged old in the forest adj that the fire reaches,
+    retagging each one new as it catches fire, so the tags are the burn's
+    visited marks. ignitions are (vertex, round) pairs in ascending round: a
+    vertex catches fire in its ignition round or one round after a
+    neighbour did, whichever comes first. The burn ends when no vertex
+    caught fire in the last round. Returns that last round in which a
     vertex caught fire and the number of vertices burned."""
-    new = [sources[0]] if preburned in (None, sources[0]) else [preburned, sources[0]]
-    burnt = set(new)
-    rnd = 1
-    while new:  # the vertices that caught fire in round rnd
-        frontier, new = new, []
+    lit: list[int] = []
+    burned, i = 0, 0
+    rnd = ignitions[0][1]
+    while True:
+        while i < len(ignitions) and ignitions[i][1] == rnd:
+            v = ignitions[i][0]
+            i += 1
+            if tag[v] == old:
+                tag[v] = new
+                lit.append(v)
+        if not lit:
+            return rnd - 1, burned
+        burned += len(lit)
+        frontier, lit = lit, []
         rnd += 1
         for u in frontier:
             for w in adj[u]:
-                if w not in burnt:
-                    burnt.add(w)
-                    new.append(w)
-        if rnd <= len(sources) and sources[rnd - 1] not in burnt:
-            burnt.add(sources[rnd - 1])
-            new.append(sources[rnd - 1])
-    return rnd - 1, len(burnt)
+                if tag[w] == old:
+                    tag[w] = new
+                    lit.append(w)
+
+
+def _lift(adj, tag: list[int], pieces, lvl: int, y: int, s: int, sources) -> int:
+    """Certify that y's side, restored in adj after the smoothing of y at
+    level lvl, burns within sources (the schedule of level lvl + 1, on its s
+    vertices) with y preburned; returns a round of sources by which it has
+    burned.
+
+    pieces holds three lists indexed by piece: its ignitions, its size and
+    its last round, in rounds of the whole schedule, in which level lvl + 1
+    starts in round lvl + 2. The pieces past lvl are those of y's side, each
+    a subtree of it tagged with its index in tag. y catches fire from x in
+    round lvl + 2, no later than any ignition past lvl: if its two
+    neighbours share a piece, y joins it and the piece is burned again
+    within its tags, else y is a piece of its own. Each ignition is no
+    earlier than its vertex's round in the burn of y's side, and fire from
+    other pieces only speeds a piece, so the last round of a piece bounds
+    the rounds of its vertices; the pieces together hold y's side.
+    """
+    fires, size, end = pieces
+    a, c = adj[y]
+    p = len(size)
+    if tag[a] == tag[c]:  # y's ignition comes first: the list stays in order
+        old = tag[y] = tag[a]
+        fires.append([(y, lvl + 2)] + fires[old])
+        last, burned = _burn(adj, tag, old, p, fires[p])
+        certify(burned == size[old] + 1, "a piece's re-burn must reach all of it")
+        size[old] = end[old] = 0
+    else:
+        tag[y] = p
+        fires.append([(y, lvl + 2)])
+        last, burned = lvl + 2, 1
+    size.append(burned)
+    end.append(last)
+    certify(
+        sum(size[lvl + 1 :]) == s + 1,
+        "the pieces past a smoothing must make up y's side",
+    )
+    y_last = max(end[lvl + 1 :]) - (lvl + 1)
+    if y_last > len(sources):
+        raise LiftVerificationFailed(
+            f"lift of {sources} across smoothing at {y} did not complete"
+        )
+    return y_last
 
 
 def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -236,6 +292,16 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     first, and pad with x (a no-op source) up to the x_last <= b =
     ceil(sqrt(s)) rounds x's side took to burn from x on the way down; y's
     side, on fire at y in round 2, runs one round behind its own schedule.
+
+    x_j, the anchor of level j, is source j + 1 of the whole schedule, since
+    pads only ever go at the end, and the base's sources follow the last
+    anchor. Each level's burn of x's side tags what it reaches with j, and
+    the base's burn tags the base: these pieces, with the restored smoothed
+    vertices, partition the input. The lift check (see _lift) burns again
+    only the one piece a restored y joins, and bounds y's side by the last
+    rounds of its pieces. That bound is never below the exact burn of y's
+    side, so the check rejects whatever a burn of the whole side would; and
+    by the smoothing lemma on the one piece y joins, a correct plan passes.
 
     The input is rooted once, and the descent keeps that rooting valid on
     each level: a cut takes x's side off y's ancestors' subtree sizes, or
@@ -254,11 +320,14 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     were re-indexed in id order as a tree of its own.
     """
     adj = [list(nbrs) for nbrs in tree_adj]
-    levels: list[tuple[int, int, int, int, tuple[int, int] | None]] = []
+    levels: list[tuple[int, int, int, int, tuple[int, int] | None, int]] = []
     order, parent, sub = _rooted(adj, 0)
     s = len(adj)
     certify(len(order) == s, "the planner's input must be connected")
-    certify(all(len(nbrs) != 2 for nbrs in adj), "every level must be a HIT")
+    certify(2 not in map(len, adj), "every level must be a HIT")
+    tag = [-1] * s  # each vertex's piece; -1 until a burn reaches it
+    pieces: tuple[list[list[tuple[int, int]]], list[int], list[int]] = ([], [], [])
+    fires, size, end = pieces
     # y is the walk's start, or an inner vertex of degree >= 3 on its path,
     # so a cut leaves y a leaf only when the next level is {y}
     leaf = next((v for v in range(s) if len(adj[v]) == 1), -1)
@@ -270,7 +339,12 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         adj[x].remove(y)
         adj[y].remove(x)
         # x's side burns from x alone in 1 + (x's eccentricity in it) rounds
-        x_last, x_size = _burn(adj, (x,))
+        j = len(levels)
+        fires.append([(x, j + 1)])
+        x_end, x_size = _burn(adj, tag, -1, j, fires[j])
+        size.append(x_size)
+        end.append(x_end)
+        x_last = x_end - j
         # recursion measure from the anchor's heavy-side guarantee
         certify(
             s - x_size <= s - 2 * b + 1 <= (b - 1) ** 2,
@@ -304,7 +378,7 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         while up != -1:
             sub[up] -= lost
             up = parent[up]
-        levels.append((x, y, b, x_last, joined))
+        levels.append((x, y, b, x_last, joined, s))
     order = _rooted(adj, root)[0]
     certify(len(order) == s, "the base level must have the tracked size")
     if s <= 2:
@@ -315,7 +389,12 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
             min(v for v in order if len(adj[v]) == 1),
         )
     b = sqrt_ceil(s)
-    last = _burn(adj, sources)[0]
+    t = len(levels)  # the base's sources are sources t + 1, ... of the whole schedule
+    fires.append([(v, t + 1 + i) for i, v in enumerate(sources)])
+    base_end, base_size = _burn(adj, tag, -1, t, fires[t])
+    size.append(base_size)
+    end.append(base_end)
+    last = base_end - t
     while True:
         certify(
             last <= len(sources) <= b,
@@ -323,24 +402,20 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         )
         if not levels:
             break
-        x, y, b, x_last, joined = levels.pop()
+        x, y, b, x_last, joined, s = levels.pop()
         y_last = last  # y's side, with y preburned or not, burns by then
         if joined is not None:
             a, c = joined
             adj[a][adj[a].index(c)] = y
             adj[c][adj[c].index(a)] = y
-            y_last = _burn(adj, sources, preburned=y)[0]
-            if y_last > len(sources):
-                raise LiftVerificationFailed(
-                    f"lift of {sources} across smoothing at {y} did not complete"
-                )
+            y_last = _lift(adj, tag, pieces, len(levels), y, s, sources)
         adj[x].append(y)
         adj[y].append(x)
         sources = (x,) + sources
         last = max(x_last, y_last + 1)
         sources += (x,) * max(0, x_last - len(sources))  # no-op repeats of x
     certify(
-        all(sorted(nbrs) == list(old) for nbrs, old in zip(adj, tree_adj)),
+        list(map(sorted, adj)) == list(map(list, tree_adj)),
         "the ascent must rebuild the input tree",
     )
     return sources
@@ -355,6 +430,18 @@ def hit_schedule(t: Tree) -> CertifiedPlan:
     return CertifiedPlan(schedule, sqrt_ceil(t.n), simulate(t.graph, schedule))
 
 
+def _augmented_adj(t: Tree) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The sorted adjacency of augment_degree2's tree, and its added-leaf ->
+    host map."""
+    adj = list(t.graph.adj)
+    hosts = [v for v in range(t.n) if len(adj[v]) == 2]
+    attach = dict(enumerate(hosts, t.n))
+    for leaf, host in attach.items():
+        adj[host] += (leaf,)
+    adj += [(host,) for host in hosts]
+    return tuple(adj), attach
+
+
 def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:
     """Attach a fresh leaf to every degree-2 vertex, yielding a HIT.
 
@@ -362,23 +449,19 @@ def augment_degree2(t: Tree) -> tuple[Tree, dict[int, int]]:
     ids n, n+1, ... in ascending host order. Each leaf's id exceeds every
     other, so appending it to its host's adjacency keeps that sorted.
     """
-    adj = list(t.graph.adj)
-    hosts = [v for v in range(t.n) if len(adj[v]) == 2]
-    attach = dict(enumerate(hosts, t.n))
-    for leaf, host in attach.items():
-        adj[host] += (leaf,)
-    adj += [(host,) for host in hosts]
-    n = t.n + len(hosts)
-    return Tree(Graph(n=n, adj=tuple(adj), m=n - 1)), attach
+    adj, attach = _augmented_adj(t)
+    return Tree(Graph(n=len(adj), adj=adj, m=len(adj) - 1)), attach
 
 
 def tree_schedule_via_augmentation(t: Tree) -> CertifiedPlan:
     """ceil(sqrt(n + d)) schedule for any tree with d degree-2 vertices:
-    plan the HIT made by augment_degree2, and project added-leaf sources
+    plan the HIT that augment_degree2 makes, and project added-leaf sources
     onto their hosts (which can only speed burning in the original tree).
-    Only the projected plan is simulated: _plan has checked that the
-    augmented tree is a HIT and that its plan fits ceil(sqrt(n + d))."""
-    augmented, attach = augment_degree2(t)
-    sources = tuple(attach.get(s, s) for s in _plan(augmented.graph.adj))
+    The augmented adjacency is planned as it is, with no Tree built around
+    it, and only the projected plan is simulated: _plan has checked that the
+    augmented tree is a connected HIT and that its plan fits
+    ceil(sqrt(n + d))."""
+    adj, attach = _augmented_adj(t)
+    sources = tuple(attach.get(s, s) for s in _plan(adj))
     schedule = BurningSchedule(sources=sources)
-    return CertifiedPlan(schedule, sqrt_ceil(augmented.n), simulate(t.graph, schedule))
+    return CertifiedPlan(schedule, sqrt_ceil(len(adj)), simulate(t.graph, schedule))

@@ -405,6 +405,28 @@ def reference_hit_schedule(t: Tree) -> tuple[int, ...]:
     return sources
 
 
+def reference_lift_burn(adj, sources: tuple[int, ...], y: int) -> int:
+    """The planner's lift check as first written: burn all of y's side in
+    the forest adj, y preburned and sources[0] on fire in round 1 and
+    sources[i] in round i + 1, with no round limit; returns the last round
+    in which a vertex caught fire."""
+    new = [sources[0]] if y == sources[0] else [y, sources[0]]
+    burnt = set(new)
+    rnd = 1
+    while new:  # the vertices that caught fire in round rnd
+        frontier, new = new, []
+        rnd += 1
+        for u in frontier:
+            for w in adj[u]:
+                if w not in burnt:
+                    burnt.add(w)
+                    new.append(w)
+        if rnd <= len(sources) and sources[rnd - 1] not in burnt:
+            burnt.add(sources[rnd - 1])
+            new.append(sources[rnd - 1])
+    return rnd - 1
+
+
 def reference_build_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
     """build_graph as first written: one set per vertex and tuple edge keys."""
     if n < 0:

@@ -42,7 +42,7 @@ from burnkit.generators import (
     spider_graph,
     star_graph,
 )
-from burnkit.graph import build_graph, format_edge_list
+from burnkit.graph import Graph, build_graph, format_edge_list
 from burnkit.hit import _plan
 
 from helpers import (
@@ -51,6 +51,7 @@ from helpers import (
     random_tree_rng,
     reference_find_anchor,
     reference_hit_schedule,
+    reference_lift_burn,
     relabel,
 )
 
@@ -387,8 +388,9 @@ def sources_digest(sources: tuple[int, ...]) -> str:
 
 
 def test_large_plans_are_pinned():
-    # too large for reference_hit_schedule; both digests were taken from
-    # the planner that re-rooted and re-scanned every level
+    # too large for reference_hit_schedule; the first two digests were taken
+    # from the planner that re-rooted and re-scanned every level, the last
+    # from the one that burned all of y's side for each lift
     sources = tree_schedule_via_augmentation(random_tree(30000, 0)).schedule.sources
     assert len(sources) == 172
     assert sources_digest(sources) == (
@@ -403,6 +405,47 @@ def test_large_plans_are_pinned():
     assert sources_digest(sources) == (
         "535e5fc1968eaabe90f75975873d6691853d2bdad99710f21748472467105d40"
     )
+    sources = tree_schedule_via_augmentation(random_tree(100000, 0)).schedule.sources
+    assert len(sources) == 313
+    assert sources_digest(sources) == (
+        "584d137036159a76290d756215f6c245569d35673140b2fd366682b331cb3ca9"
+    )
+
+
+def criterion_3_hits():
+    """The HITs that test_criterion_3_hit_plans plans."""
+    yield from enumerate_hits(16)
+    rng = random.Random(2024)
+    for _ in range(500):
+        yield random_hit(rng.randint(4, 500), seed=rng.randrange(2**31))
+
+
+real_lift = burnkit.hit._lift
+
+
+def test_piece_bound_lies_between_the_whole_side_burn_and_the_schedule(monkeypatch):
+    # at every smoothing, the round by which the pieces say y's side has
+    # burned is no earlier than a burn of all of y's side, and within the
+    # schedule of the level below
+    lifts = []
+
+    def checked_lift(adj, tag, pieces, lvl, y, s, sources):
+        y_last = real_lift(adj, tag, pieces, lvl, y, s, sources)
+        assert reference_lift_burn(adj, sources, y) <= y_last <= len(sources)
+        lifts.append(y_last)
+        return y_last
+
+    monkeypatch.setattr(burnkit.hit, "_lift", checked_lift)
+    rng = random.Random(83)
+    hits = [
+        Tree(relabel(random_hit(rng.randint(4, 400), rng.randrange(2**31)).graph, rng))
+        for _ in range(60)
+    ]
+    for t in relabelled_trees():
+        tree_schedule_via_augmentation(t)
+    for t in [*hits, *criterion_3_hits()]:
+        hit_schedule(t)
+    assert len(lifts) > 1000
 
 
 def test_hit_schedule_makes_no_recursive_call():
@@ -520,6 +563,27 @@ def test_tree_plan_builds_and_simulates_once(monkeypatch, capsys, tmp_path):
     assert calls == ["build_graph", "simulate_modified"]
 
 
+def test_tree_plan_runs_one_connectivity_search(monkeypatch, capsys, tmp_path):
+    # only the parsed input is checked connected by a search: the planner
+    # certifies the augmented tree connected on its own
+    path = tmp_path / "p9.el"
+    path.write_text(format_edge_list(path_graph(9)))
+    sources = []
+    real = Graph.distances_from
+
+    def counted(g, source):
+        sources.append(source)
+        return real(g, source)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    code = main(["tree-plan", str(path)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert sources == [0]
+
+
+real_augmented_adj = burnkit.hit._augmented_adj
+
+
 def test_tree_plan_checks_the_augmented_tree_is_a_hit(monkeypatch, capsys, tmp_path):
     # the augmented plan is not simulated: the planner's level-0 HIT check
     # must catch an augmentation that leaves a degree-2 vertex leafless
@@ -528,12 +592,12 @@ def test_tree_plan_checks_the_augmented_tree_is_a_hit(monkeypatch, capsys, tmp_p
     path.write_text(format_edge_list(t.graph))
 
     def one_leaf_short(t):
-        augmented, attach = augment_degree2(t)
-        last = augmented.n - 1
+        adj, attach = real_augmented_adj(t)
+        last = len(adj) - 1
         del attach[last]
-        return build_tree(last, [e for e in augmented.graph.edges() if last not in e]), attach
+        return tuple(tuple(w for w in nbrs if w != last) for nbrs in adj[:last]), attach
 
-    monkeypatch.setattr(burnkit.hit, "augment_degree2", one_leaf_short)
+    monkeypatch.setattr(burnkit.hit, "_augmented_adj", one_leaf_short)
     with pytest.raises(CertificationFailed, match="every level must be a HIT"):
         tree_schedule_via_augmentation(t)
     code = main(["tree-plan", str(path)])
@@ -583,17 +647,21 @@ def test_certification_survives_python_o():
 
 
 # The planner's checks, each made to fire by a _burn that misreports the last
-# round in which a vertex caught fire.
+# round in which a vertex caught fire, or how many did. A burn from untagged
+# vertices (old == -1) is the burn of a level's x side or of the base, and a
+# burn of a piece (old >= 0) is a lift's re-burn.
 real_burn = burnkit.hit._burn
 
 
-def lift_burn_over_by_one(adj, sources, preburned=None):
-    last, size = real_burn(adj, sources, preburned)
-    return (last + 1 if preburned is not None else last), size
+def lift_burn_over_by_one(adj, tag, old, new, ignitions):
+    last, burned = real_burn(adj, tag, old, new, ignitions)
+    return (last + 1 if old != -1 else last), burned
 
 
 def test_lift_check_fires(monkeypatch, capsys, tmp_path):
-    t = eight_vertex_hit()  # its one level below the top smooths y
+    # its one level below the top smooths y into the base's piece, whose
+    # re-burn ends in the last round of the level's schedule
+    t = eight_vertex_hit()
     path = tmp_path / "hit8.el"
     path.write_text(format_edge_list(t.graph))
     monkeypatch.setattr(burnkit.hit, "_burn", lift_burn_over_by_one)
@@ -614,9 +682,9 @@ def test_lift_check_fires_under_python_o(tmp_path):
         "from burnkit.cli import main\n"
         "assert False, 'asserts are on'\n"
         "real = burnkit.hit._burn\n"
-        "def burn(adj, sources, preburned=None):\n"
-        "    last, size = real(adj, sources, preburned)\n"
-        "    return (last + 1 if preburned is not None else last), size\n"
+        "def burn(adj, tag, old, new, ignitions):\n"
+        "    last, burned = real(adj, tag, old, new, ignitions)\n"
+        "    return (last + 1 if old != -1 else last), burned\n"
         "burnkit.hit._burn = burn\n"
         f"sys.exit(main(['hit-plan', {str(path)!r}]))\n"
     )
@@ -633,15 +701,49 @@ def test_lift_check_fires_under_python_o(tmp_path):
     assert result.stderr.startswith("error: lift of ")
 
 
+def test_piece_reburn_must_reach_the_whole_piece(monkeypatch):
+    t = eight_vertex_hit()
+
+    def reburn_one_short(adj, tag, old, new, ignitions):
+        last, burned = real_burn(adj, tag, old, new, ignitions)
+        return last, (burned - 1 if old != -1 else burned)
+
+    monkeypatch.setattr(burnkit.hit, "_burn", reburn_one_short)
+    with pytest.raises(CertificationFailed, match="re-burn must reach all of it"):
+        hit_schedule(t)
+
+
+def test_pieces_must_make_up_y_side(monkeypatch):
+    # the top level smooths y = 0 by joining 1 and 3, and the next level's
+    # anchor edge is 1-3, so y is a piece of its own and no piece is burned
+    # again: only the pieces' sizes can catch a base (piece 2, {3}) that
+    # miscounts
+    edges = [(0, 1), (0, 2), (0, 3)] + [(1, v) for v in range(4, 8)]
+    t = build_tree(14, edges + [(2, v) for v in range(8, 14)])
+    assert (find_anchor(t).x, find_anchor(t).y) == (2, 0)
+    reburns = []
+
+    def base_one_over(adj, tag, old, new, ignitions):
+        last, burned = real_burn(adj, tag, old, new, ignitions)
+        if old != -1:
+            reburns.append(new)
+        return last, (burned + 1 if (old, new) == (-1, 2) else burned)
+
+    monkeypatch.setattr(burnkit.hit, "_burn", base_one_over)
+    with pytest.raises(CertificationFailed, match="must make up y's side"):
+        hit_schedule(t)
+    assert reburns == []
+
+
 def test_pads_from_the_anchor_side_are_certified(monkeypatch):
     # the top level pads, and a pad fewer leaves x's side unburned
     t = random_hit(10, 0)
     planned = hit_schedule(t).schedule.sources
     assert planned[-1] == planned[0]
 
-    def x_side_burn_under_by_one(adj, sources, preburned=None):
-        last, size = real_burn(adj, sources, preburned)
-        return (last - 1 if preburned is None and len(sources) == 1 else last), size
+    def x_side_burn_under_by_one(adj, tag, old, new, ignitions):
+        last, burned = real_burn(adj, tag, old, new, ignitions)
+        return (last - 1 if old == -1 and len(ignitions) == 1 else last), burned
 
     monkeypatch.setattr(burnkit.hit, "_burn", x_side_burn_under_by_one)
     with pytest.raises(CertificationFailed, match="plan's burn map"):
@@ -652,13 +754,14 @@ def test_anchor_side_bound_fires(monkeypatch):
     t = eight_vertex_hit()
     calls = []
 
-    def first_burn_past_the_bound(adj, sources, preburned=None):
-        # the first burn is the top level's x side, whose bound is ceil(sqrt(n))
-        last, size = real_burn(adj, sources, preburned)
-        calls.append(sources)
-        return (sqrt_ceil(t.n) + 1 if len(calls) == 1 else last), size
+    def first_burn_past_the_bound(adj, tag, old, new, ignitions):
+        # the first burn is the top level's x side, from x in round 1, whose
+        # bound is ceil(sqrt(n))
+        last, burned = real_burn(adj, tag, old, new, ignitions)
+        calls.append(ignitions)
+        return (sqrt_ceil(t.n) + 1 if len(calls) == 1 else last), burned
 
     monkeypatch.setattr(burnkit.hit, "_burn", first_burn_past_the_bound)
     with pytest.raises(CertificationFailed, match="anchor side must burn from x"):
         hit_schedule(t)
-    assert calls[0] == (find_anchor(t).x,)
+    assert calls[0] == [(find_anchor(t).x, 1)]
