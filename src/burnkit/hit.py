@@ -13,10 +13,18 @@ When y was smoothed, the lift lemma says y's side with y preburned still
 burns within the schedule below; the ascent checks it by burning again only
 the piece that y rejoins, and bounds the rest of y's side by the last rounds
 its pieces already burned in, a bound never below the exact burn of y's side.
-The input is rooted once, and the descent keeps the parents and subtree
-sizes of that rooting valid as it cuts and smooths, so no level is re-rooted
-or re-scanned: the anchor walk reads its side sizes from them, and a level's
+The input is rooted once, and re-rooted at the first anchor along the one
+path from it to the root; the descent keeps the parents and subtree sizes of
+that rooting valid as it cuts and smooths, so no level is re-rooted or
+re-scanned: the anchor walk reads its side sizes from them, and a level's
 HIT check looks only at the vertices whose adjacency the step changed.
+What a level removes lies ahead of every step of its walk before y's
+predecessor, so each walk resumes from the last one's steps that still
+hold: it pops a step whose forward side fell below the level's threshold,
+or past which a lower neighbour's side now reaches it. The descent cuts
+and smooths in place and the ascent undoes each change at the same index,
+so it rebuilds the input's adjacency lists exactly, and one compare checks
+that it did.
 hit_schedule, tree_schedule_via_augmentation and spanning.hist_bound each
 run _plan once and check the plan they return by one simulation on the graph
 they were asked about, so the guarantee is an executable contract rather
@@ -109,41 +117,56 @@ def _rooted(adj, root: int) -> tuple[list[int], list[int], list[int]]:
     return order, parent, sub
 
 
-def _anchor(adj, s: int, parent: list[int], sub: list[int], leaf: int) -> Anchor:
-    """The anchor walk (see find_anchor) on a component of s vertices whose
-    lowest leaf is leaf, rooted by parent with subtree sizes sub.
+def _anchor(
+    adj, s: int, parent: list[int], sub: list[int], leaf: int, walk: list
+) -> tuple[int, int]:
+    """The anchor (x, y) of the walk (see find_anchor) on a component of s
+    vertices whose lowest leaf is leaf, rooted by parent with subtree sizes
+    sub, resumed from the steps of walk that still hold.
 
     Deleting x leaves the component of a neighbour w with sub[w] vertices
     when w is a child of x, and with the rest of the tree, s - sub[x], when
     w is x's parent, so each step reads its side sizes without a search.
     These sizes do not depend on the root.
+
+    walk holds one (v, next, low) entry per step, where low is the largest
+    side of a neighbour w of v, other than the one the walk came from, with
+    w < next, over this step and every step before it. A step still holds
+    when its forward side, side(v, next), reaches tau and low stays below
+    it: then next is still v's lowest heavy neighbour. Forward sides shrink
+    strictly along the walk and low never shrinks, so the steps that hold
+    are a prefix; the walk pops the rest and goes on from the top entry,
+    or from leaf when none is left, and appends its new steps.
     """
     tau = 2 * sqrt_ceil(s) - 1
 
     def side(x: int, w: int) -> int:
         return sub[w] if parent[w] == x else s - sub[x]
 
-    came_from = leaf
-    x = adj[came_from][0]
-    for _ in range(s):
-        heavy = [w for w in adj[x] if w != came_from and side(x, w) >= tau]
+    while walk:
+        v, w, low = walk[-1]
+        if side(v, w) >= tau and low < tau:
+            break
+        walk.pop()
+    came_from, x, low = walk[-1] if walk else (leaf, adj[leaf][0], 0)
+    for _ in range(s - len(walk)):
+        sides = [(w, side(x, w)) for w in adj[x] if w != came_from]
+        heavy = [w for w, size in sides if size >= tau]
         if not heavy:
-            others = tuple(w for w in adj[x] if w != came_from)
-            anchor = Anchor(
-                x=x,
-                y=came_from,
-                neighbors=others + (came_from,),
-                side_sizes=tuple(side(x, w) for w in others)
-                + (s - side(x, came_from),),
-                threshold=tau,
-            )
-            certify(anchor.heavy_size >= tau, "anchor's heavy side must reach tau")
             certify(
-                all(size < tau for size in anchor.light_sizes),
+                s - side(x, came_from) >= tau, "anchor's heavy side must reach tau"
+            )
+            certify(
+                all(size < tau for _, size in sides),
                 "anchor's light sides must stay below tau",
             )
-            return anchor
-        x, came_from = min(heavy), x
+            return x, came_from
+        nxt = min(heavy)
+        for w, size in sides:
+            if w < nxt and size > low:
+                low = size
+        walk.append((x, nxt, low))
+        x, came_from = nxt, x
     raise CertificationFailed("anchor walk failed to terminate within n steps")
 
 
@@ -152,8 +175,21 @@ def find_anchor(t: Tree) -> Anchor:
     the one behind us is light (size < 2*ceil(sqrt(n)) - 1)."""
     if t.n < 6:
         raise TooSmall(f"anchor search needs n >= 6, got {t.n}")
-    _, parent, sub = _rooted(t.graph.adj, 0)
-    return _anchor(t.graph.adj, t.n, parent, sub, t.leaves[0])
+    adj = t.graph.adj
+    _, parent, sub = _rooted(adj, 0)
+    x, y = _anchor(adj, t.n, parent, sub, t.leaves[0], [])
+
+    def side(w: int) -> int:
+        return sub[w] if parent[w] == x else t.n - sub[x]
+
+    others = tuple(w for w in adj[x] if w != y)
+    return Anchor(
+        x=x,
+        y=y,
+        neighbors=others + (y,),
+        side_sizes=tuple(map(side, others)) + (t.n - side(y),),
+        threshold=2 * sqrt_ceil(t.n) - 1,
+    )
 
 
 def lift_schedule(t: Tree, v: int, s: BurningSchedule) -> BurningSchedule:
@@ -303,13 +339,30 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     side, so the check rejects whatever a burn of the whole side would; and
     by the smoothing lemma on the one piece y joins, a correct plan passes.
 
-    The input is rooted once, and the descent keeps that rooting valid on
+    The input is rooted once, at 0, and after the top level's walk it is
+    re-rooted at x along the one path from x to 0: each vertex on it takes
+    the one before as its parent, and all but that one's old subtree as its
+    own, with no second search. The descent keeps that rooting valid on
     each level: a cut takes x's side off y's ancestors' subtree sizes, or
-    makes y the root when x was its parent, and a smoothing hangs y's child
-    from y's parent, or roots the level at one of a root y's two children.
-    The anchor walk ends at y, so the leaf it starts from is on y's side;
-    and since no step makes a leaf, the input's lowest leaf is the lowest
-    leaf of every level the descent walks on.
+    makes y the root when x was its parent, as it always is at the top, and
+    a smoothing hangs y's child from y's parent, or roots the level at one
+    of a root y's two children. The anchor walk ends at y, so the leaf it starts from
+    is on y's side; and since no step makes a leaf, the input's lowest leaf
+    is the lowest leaf of every level the descent walks on.
+
+    The walk is kept from level to level (see _anchor). What a level removes,
+    x's side and y when it is smoothed, lies across the forward edge of
+    every step of the walk before y's predecessor, so those steps keep their
+    vertices' adjacency and all their other sides, and the threshold never
+    grows; the steps from y and from its predecessor are dropped, and the
+    next walk pops the steps that no longer hold and resumes from the rest.
+    It takes the steps a walk from the leaf would take, so every anchor is
+    the one a fresh walk finds.
+
+    The descent deletes xy from both lists at indices it records, and
+    smooths y by writing c where y was in a's list and a where y was in
+    c's; the ascent writes y back and re-inserts xy at those indices, so
+    each list ends as it began and the input's adjacency is rebuilt exactly.
 
     The input must be a connected HIT, and since a step changes only the
     adjacency of y, or of y's two neighbours when it smooths y, their
@@ -320,7 +373,7 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     were re-indexed in id order as a tree of its own.
     """
     adj = [list(nbrs) for nbrs in tree_adj]
-    levels: list[tuple[int, int, int, int, tuple[int, int] | None, int]] = []
+    levels: list[tuple[int, int, int, int, int, int, tuple[int, int] | None, int]] = []
     order, parent, sub = _rooted(adj, 0)
     s = len(adj)
     certify(len(order) == s, "the planner's input must be connected")
@@ -332,12 +385,19 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     # so a cut leaves y a leaf only when the next level is {y}
     leaf = next((v for v in range(s) if len(adj[v]) == 1), -1)
     root = 0
+    walk: list[tuple[int, int, int]] = []  # the last anchor walk's steps
     while s >= 6:
         b = sqrt_ceil(s)
-        anchor = _anchor(adj, s, parent, sub, leaf)
-        x, y = anchor.x, anchor.y
-        adj[x].remove(y)
-        adj[y].remove(x)
+        x, y = _anchor(adj, s, parent, sub, leaf, walk)
+        del walk[-2:]  # the steps from y and from the vertex before it
+        if not levels:  # re-root at x along the path from x to the root
+            u, prev, u_sub = x, -1, s
+            while u != -1:
+                old_parent, old_sub = parent[u], sub[u]
+                parent[u], sub[u] = prev, u_sub
+                u, prev, u_sub = old_parent, u, s - old_sub
+        i, k = adj[x].index(y), adj[y].index(x)
+        del adj[x][i], adj[y][k]
         # x's side burns from x alone in 1 + (x's eccentricity in it) rounds
         j = len(levels)
         fires.append([(x, j + 1)])
@@ -378,7 +438,7 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         while up != -1:
             sub[up] -= lost
             up = parent[up]
-        levels.append((x, y, b, x_last, joined, s))
+        levels.append((x, y, i, k, b, x_last, joined, s))
     order = _rooted(adj, root)[0]
     certify(len(order) == s, "the base level must have the tracked size")
     if s <= 2:
@@ -402,20 +462,20 @@ def _plan(tree_adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         )
         if not levels:
             break
-        x, y, b, x_last, joined, s = levels.pop()
+        x, y, i, k, b, x_last, joined, s = levels.pop()
         y_last = last  # y's side, with y preburned or not, burns by then
         if joined is not None:
             a, c = joined
             adj[a][adj[a].index(c)] = y
             adj[c][adj[c].index(a)] = y
             y_last = _lift(adj, tag, pieces, len(levels), y, s, sources)
-        adj[x].append(y)
-        adj[y].append(x)
+        adj[x].insert(i, y)
+        adj[y].insert(k, x)
         sources = (x,) + sources
         last = max(x_last, y_last + 1)
         sources += (x,) * max(0, x_last - len(sources))  # no-op repeats of x
     certify(
-        list(map(sorted, adj)) == list(map(list, tree_adj)),
+        tuple(map(tuple, adj)) == tree_adj,
         "the ascent must rebuild the input tree",
     )
     return sources

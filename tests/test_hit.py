@@ -2,6 +2,7 @@ import hashlib
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -271,85 +272,149 @@ def check_rooting(adj, s, parent, sub, leaf):
     assert all(sub[v] == size[v] for v in order)
 
 
+class CheckedAnchor:
+    """_anchor, checked on every level: the rooting it is given against a
+    fresh BFS of the level, and the walk it resumes against a fresh walk.
+
+    sizes lists the levels checked. updates counts the rooting updates of
+    the levels above them, as rooting_update names them, and popped the
+    steps each rule dropped from a walk before it resumed; resumed counts
+    the levels that kept a non-empty prefix of the last walk.
+    """
+
+    def __init__(self) -> None:
+        self.sizes: list[int] = []
+        self.updates: Counter = Counter()
+        self.popped: Counter = Counter()
+        self.resumed = 0
+        self._update = None  # the last level's update, checked by this one
+
+    def __call__(self, adj, s, parent, sub, leaf, walk):
+        check_rooting(adj, s, parent, sub, leaf)
+        self.sizes.append(s)
+        if s < len(adj):
+            self.updates[self._update] += 1
+        tau = 2 * sqrt_ceil(s) - 1
+
+        def side(v, w):
+            return sub[w] if parent[w] == v else s - sub[v]
+
+        kept = len(walk)
+        while kept:
+            v, w, low = walk[kept - 1]
+            if side(v, w) >= tau and low < tau:
+                break
+            self.popped["forward side" if side(v, w) < tau else "lower id"] += 1
+            kept -= 1
+        self.resumed += kept > 0
+        held = walk[:kept]
+        fresh: list = []
+        x, y = real_anchor(adj, s, parent, sub, leaf, walk)
+        assert real_anchor(adj, s, parent, sub, leaf, fresh) == (x, y)
+        assert walk == fresh
+        assert all(a is b for a, b in zip(walk, held))  # kept steps are not redone
+        self._update = rooting_update(adj, s, parent, x, y)
+        return x, y
+
+
+def rooting_update(adj, s, parent, x, y) -> tuple[str, str]:
+    """How the planner updates its rooting after it cuts the level's anchor
+    edge xy: the cut, then the smoothing of y if y drops to degree 2. The
+    top level first re-roots the input at x, so its y is below x."""
+    cut = "x below y" if s < len(adj) and parent[x] == y else "y below x"
+    if len(adj[y]) != 3:
+        return cut, "no smoothing"
+    y_is_root = cut == "y below x" or parent[y] == -1
+    return cut, "root y smoothed" if y_is_root else "non-root y smoothed"
+
+
+ROOTING_UPDATES = [
+    ("x below y", "non-root y smoothed"),
+    ("x below y", "root y smoothed"),
+    ("y below x", "root y smoothed"),
+    ("x below y", "no smoothing"),
+    ("y below x", "no smoothing"),
+]
+
+
 @pytest.fixture
 def rooting_checked(monkeypatch):
-    """The sizes of the levels whose rooting was checked before _anchor ran."""
-    checked = []
-
-    def checked_anchor(adj, s, parent, sub, leaf):
-        check_rooting(adj, s, parent, sub, leaf)
-        checked.append(s)
-        return real_anchor(adj, s, parent, sub, leaf)
-
-    monkeypatch.setattr(burnkit.hit, "_anchor", checked_anchor)
-    return checked
+    check = CheckedAnchor()
+    monkeypatch.setattr(burnkit.hit, "_anchor", check)
+    return check
 
 
-def test_rooting_is_kept_on_every_level(rooting_checked):
-    rng = random.Random(79)
-    hits = [
+def relabelled_hits(seed: int) -> list[Tree]:
+    """60 relabelled random HITs of 4 to 400 vertices."""
+    rng = random.Random(seed)
+    return [
         Tree(relabel(random_hit(rng.randint(4, 400), rng.randrange(2**31)).graph, rng))
         for _ in range(60)
     ]
-    for t in [*relabelled_trees(), *hits]:
+
+
+def test_rooting_is_kept_on_every_level(rooting_checked):
+    for t in [*relabelled_trees(), *relabelled_hits(79)]:
         augmented, _ = augment_degree2(t)
         sources = hit_schedule(augmented).schedule.sources
         assert sources == reference_hit_schedule(augmented)
-    assert len(rooting_checked) > 2000
+    assert len(rooting_checked.sizes) > 2000
+    assert all(rooting_checked.updates[u] >= 1 for u in ROOTING_UPDATES)
 
 
-def top_level_update(t: Tree) -> tuple[str, str]:
-    """How the planner, which roots its input at 0, updates that rooting
-    after cutting the top level's anchor edge xy: the cut, then the
-    smoothing of y if y drops to degree 2."""
-    anchor = find_anchor(t)
-    x, y = anchor.x, anchor.y
-    depth = t.graph.distances_from(0)
-    cut = "x below y" if depth[x] == depth[y] + 1 else "y below x"
-    if t.degree(y) != 3:
-        return cut, "no smoothing"
-    y_is_root = y == 0 or cut == "y below x"
-    return cut, "root y smoothed" if y_is_root else "non-root y smoothed"
+def test_resumed_walk_matches_a_fresh_walk(rooting_checked):
+    # both pop rules must drop steps, and levels must resume mid-walk
+    for t in relabelled_trees():
+        tree_schedule_via_augmentation(t)
+    assert rooting_checked.popped["forward side"] > 1000
+    assert rooting_checked.popped["lower id"] > 10
+    assert rooting_checked.resumed > 100
+    rooting_checked.popped.clear()
+    for t in [*relabelled_hits(79), *criterion_3_hits()]:
+        hit_schedule(t)
+    assert rooting_checked.popped["forward side"] > 1000
+    assert rooting_checked.popped["lower id"] > 100
 
 
 @pytest.mark.parametrize(
     "edges,update",
     [
         (
-            [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (3, 12), (3, 13)]
-            + [(2, v) for v in range(6, 12)],
-            ("x below y", "non-root y smoothed"),
+            [(0, 11), (1, 4), (1, 16), (1, 20), (2, 3), (2, 19), (2, 20), (3, 8)]
+            + [(3, 9), (3, 14), (5, 21), (6, 15), (6, 18), (6, 20), (7, 12), (8, 11)]
+            + [(8, 21), (10, 22), (11, 17), (12, 21), (12, 22), (13, 22)],
+            ROOTING_UPDATES[0],
+        ),
+        (
+            [(0, 5), (1, 19), (2, 7), (2, 20), (2, 21), (3, 4), (3, 13), (3, 19)]
+            + [(5, 7), (5, 13), (5, 22), (6, 10), (7, 8), (9, 13), (10, 12)]
+            + [(10, 17), (11, 17), (14, 22), (15, 19), (16, 22), (17, 18), (17, 22)],
+            ROOTING_UPDATES[1],
         ),
         (
             [(0, 1), (0, 2), (0, 3)]
             + [(1, v) for v in range(4, 8)]
             + [(2, v) for v in range(8, 14)],
-            ("x below y", "root y smoothed"),
+            ROOTING_UPDATES[2],
         ),
         (
-            [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (3, 10), (3, 11), (4, 12), (4, 13)]
-            + [(2, v) for v in range(6, 10)],
-            ("y below x", "root y smoothed"),
+            [(0, 19), (1, 13), (2, 12), (2, 15), (2, 19), (3, 10), (4, 5), (5, 7)]
+            + [(5, 19), (6, 13), (8, 19), (9, 20), (10, 13), (10, 15), (11, 16)]
+            + [(11, 18), (11, 20), (14, 17), (14, 19), (14, 20), (15, 21)],
+            ROOTING_UPDATES[3],
         ),
         (
             [(0, v) for v in range(1, 7)] + [(1, v) for v in range(7, 13)],
-            ("x below y", "no smoothing"),
-        ),
-        (
-            [(0, 1), (0, 2), (0, 3), (2, 9), (2, 10), (3, 11), (3, 12)]
-            + [(1, v) for v in range(4, 9)],
-            ("y below x", "no smoothing"),
+            ROOTING_UPDATES[4],
         ),
     ],
 )
 def test_each_rooting_update(rooting_checked, edges, update):
-    # the level below the top has >= 6 vertices, so its anchor walk checks
-    # the rooting that the top level's update left
+    # each update is taken at some level whose rooting the next level checks
     t = build_tree(len(edges) + 1, edges)
-    assert is_hit(t) and top_level_update(t) == update
-    rooting_checked.clear()
+    assert is_hit(t)
     assert hit_schedule(t).schedule.sources == reference_hit_schedule(t)
-    assert len(rooting_checked) >= 2
+    assert rooting_checked.updates[update] >= 1
 
 
 FOREST_ADJ = build_graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)]).adj
@@ -389,8 +454,9 @@ def sources_digest(sources: tuple[int, ...]) -> str:
 
 def test_large_plans_are_pinned():
     # too large for reference_hit_schedule; the first two digests were taken
-    # from the planner that re-rooted and re-scanned every level, the last
-    # from the one that burned all of y's side for each lift
+    # from the planner that re-rooted and re-scanned every level, the third
+    # from the one that burned all of y's side for each lift, and the last
+    # from the one that walked each level's anchor from the lowest leaf
     sources = tree_schedule_via_augmentation(random_tree(30000, 0)).schedule.sources
     assert len(sources) == 172
     assert sources_digest(sources) == (
@@ -409,6 +475,15 @@ def test_large_plans_are_pinned():
     assert len(sources) == 313
     assert sources_digest(sources) == (
         "584d137036159a76290d756215f6c245569d35673140b2fd366682b331cb3ca9"
+    )
+    n = 10**5
+    perm = list(range(n))
+    random.Random(5).shuffle(perm)
+    path = build_tree(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+    sources = tree_schedule_via_augmentation(path).schedule.sources
+    assert len(sources) == 448
+    assert sources_digest(sources) == (
+        "f6b58dc47340125f51fcce9660274e6175b855f695751bf751ab2ff313ff1347"
     )
 
 
@@ -436,14 +511,9 @@ def test_piece_bound_lies_between_the_whole_side_burn_and_the_schedule(monkeypat
         return y_last
 
     monkeypatch.setattr(burnkit.hit, "_lift", checked_lift)
-    rng = random.Random(83)
-    hits = [
-        Tree(relabel(random_hit(rng.randint(4, 400), rng.randrange(2**31)).graph, rng))
-        for _ in range(60)
-    ]
     for t in relabelled_trees():
         tree_schedule_via_augmentation(t)
-    for t in [*hits, *criterion_3_hits()]:
+    for t in [*relabelled_hits(83), *criterion_3_hits()]:
         hit_schedule(t)
     assert len(lifts) > 1000
 
@@ -699,6 +769,54 @@ def test_lift_check_fires_under_python_o(tmp_path):
     assert result.returncode == 3, result.stderr
     assert result.stdout == ""
     assert result.stderr.startswith("error: lift of ")
+
+
+def reversed_pair(adj, tag, pieces, lvl, y, s, sources):
+    # y's two restored neighbours in the other order: no burn changes, but
+    # y's adjacency list is no longer the input's
+    adj[y].reverse()
+    return real_lift(adj, tag, pieces, lvl, y, s, sources)
+
+
+def test_rebuild_check_fires(monkeypatch, capsys, tmp_path):
+    # its one level below the top smooths y
+    path = tmp_path / "hit8.el"
+    path.write_text(format_edge_list(eight_vertex_hit().graph))
+    monkeypatch.setattr(burnkit.hit, "_lift", reversed_pair)
+    with pytest.raises(CertificationFailed, match="must rebuild the input tree"):
+        hit_schedule(eight_vertex_hit())
+    code = main(["hit-plan", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: the ascent must rebuild the input tree\n"
+
+
+def test_rebuild_check_fires_under_python_o(tmp_path):
+    path = tmp_path / "hit8.el"
+    path.write_text(format_edge_list(eight_vertex_hit().graph))
+    code = (
+        "import sys\n"
+        "import burnkit.hit\n"
+        "from burnkit.cli import main\n"
+        "assert False, 'asserts are on'\n"
+        "real = burnkit.hit._lift\n"
+        "def lift(adj, tag, pieces, lvl, y, s, sources):\n"
+        "    adj[y].reverse()\n"
+        "    return real(adj, tag, pieces, lvl, y, s, sources)\n"
+        "burnkit.hit._lift = lift\n"
+        f"sys.exit(main(['hit-plan', {str(path)!r}]))\n"
+    )
+    src = str(Path(burnkit.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-B", "-O", "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == "error: the ascent must rebuild the input tree\n"
 
 
 def test_piece_reburn_must_reach_the_whole_piece(monkeypatch):
