@@ -16,7 +16,7 @@ from typing import Iterator
 from .burning import (
     BurningSchedule,
     DEFAULT_EXACT_LIMIT,
-    _rooted_levels,
+    _deepest_first,
     _search_depth,
     burning_number_exact,
     is_complete,
@@ -206,9 +206,7 @@ def burning_number_via_spanning_trees(
     # before the enumeration's TooMany and before any tree is built
     target, _ = burning_number_exact(g, limit=exact_limit)
     for tree in enumerate_spanning_trees(g, limit=tree_limit):
-        witness = _search_depth(
-            tree.graph, target, (), [], [], *_rooted_levels(tree.graph)
-        )
+        witness = _search_depth(target, (), [], [], *_deepest_first(tree.graph))
         if witness is not None:
             sched = BurningSchedule(sources=witness)
             bm = simulate(tree.graph, sched)

@@ -1,10 +1,15 @@
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import burnkit
+import burnkit.burning
 from burnkit import (
     BurningSchedule,
     build_graph,
@@ -18,7 +23,9 @@ from burnkit import (
     smooth,
     sqrt_ceil,
 )
+from burnkit.cli import main
 from burnkit.errors import (
+    CertificationFailed,
     Disconnected,
     InvalidSource,
     MalformedPlan,
@@ -27,12 +34,13 @@ from burnkit.errors import (
 )
 from burnkit.burning import (
     _balls_by_radius,
+    _deepest_first,
     _maximal_parts,
     _packing,
-    _rooted_levels,
     _search_depth,
 )
 from burnkit.generators import path_graph, petersen_graph, random_tree, spider_graph
+from burnkit.graph import Graph, format_edge_list
 
 from helpers import (
     atlas_connected_graphs,
@@ -163,9 +171,95 @@ def test_exact_rejects_limits():
         burning_number_exact(build_graph(2, []))
 
 
+def test_exact_runs_no_separate_connectivity_search(monkeypatch):
+    # connectivity comes from the numbering BFS: no distance search runs,
+    # and the limits are still checked before it
+    searches = []
+    real = Graph.distances_from
+
+    def counted(g, source):
+        searches.append(source)
+        return real(g, source)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    assert burning_number_exact(petersen_graph())[0] == 3
+    with pytest.raises(Disconnected):
+        burning_number_exact(build_graph(3, [(1, 2)]))
+    with pytest.raises(TooLarge):
+        burning_number_exact(build_graph(3, [(1, 2)]), limit=2)
+    with pytest.raises(InvalidSource):
+        burning_number_exact(build_graph(3, [(1, 2)]), preburn=(3,))
+    assert searches == []
+
+
 def test_exact_rejects_empty_graph():
     with pytest.raises(TooSmall):
         burning_number_exact(build_graph(0, []))
+
+
+# The solver's own checks, each made to fire by a double of a burnkit.burning
+# function: a prover that accepts only the empty covered set, so the decision
+# at k = 1 passes and no source does, and a simulation that burns nothing.
+SOLVER_CHECK_DOUBLES = {
+    "a feasible state must admit a next source": (
+        "_feasible",
+        "def double(covered, free, cap, state):\n    return covered == 0\n",
+    ),
+    "exact witness must burn the graph within k rounds": (
+        "simulate_modified",
+        "from burnkit import BurnMap\n"
+        "def double(g, m):\n"
+        "    return BurnMap((None,) * g.n)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(SOLVER_CHECK_DOUBLES))
+def test_solver_check_fires(message, monkeypatch, capsys, tmp_path):
+    path = tmp_path / "p4.el"
+    path.write_text(format_edge_list(path_graph(4)))
+    name, code = SOLVER_CHECK_DOUBLES[message]
+    namespace = {}
+    exec(code, namespace)
+    monkeypatch.setattr(burnkit.burning, name, namespace["double"])
+    with pytest.raises(CertificationFailed, match=message):
+        burning_number_exact(path_graph(4))
+    assert main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("message", sorted(SOLVER_CHECK_DOUBLES))
+def test_solver_check_fires_under_python_o(message, tmp_path):
+    path = tmp_path / "p4.el"
+    path.write_text(format_edge_list(path_graph(4)))
+    name, double = SOLVER_CHECK_DOUBLES[message]
+    code = (
+        "import sys\n"
+        "import burnkit.burning\n"
+        "from burnkit.cli import main\n"
+        "from burnkit.errors import CertificationFailed\n"
+        "from burnkit.generators import path_graph\n"
+        "assert False, 'asserts are on'\n"
+        + double
+        + f"burnkit.burning.{name} = double\n"
+        "try:\n"
+        "    burnkit.burning.burning_number_exact(path_graph(4))\n"
+        "except CertificationFailed as exc:\n"
+        "    print(exc)\n"
+        f"sys.exit(main(['solve', {str(path)!r}]))\n"
+    )
+    src = str(Path(burnkit.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-B", "-O", "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == f"{message}\n"
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_exact_preburn_p3_center():
@@ -273,7 +367,7 @@ def test_search_matches_reference_dfs():
         assert witness.sources == reference_search_depth(g, k, preburn)
         for depth in (k - 1, k + 1):
             if depth >= 1:
-                found = _search_depth(g, depth, preburn, [], [], *_rooted_levels(g))
+                found = _search_depth(depth, preburn, [], [], *_deepest_first(g))
                 assert found == reference_search_depth(g, depth, preburn)
 
 
@@ -283,24 +377,94 @@ def test_maximal_parts_keep_only_uncontained_sets():
     triangle = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
     cycle = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
     balls, maxcov = [], []
-    _balls_by_radius(triangle, 1, balls, maxcov)
+    _balls_by_radius(triangle.adj, 1, balls, maxcov)
     assert _maximal_parts(balls[1], 1, 0b1111) == [0b1111]
     assert _maximal_parts(balls[1], 1, 0b0110) == [0b0110]
     balls, maxcov = [], []
-    _balls_by_radius(cycle, 1, balls, maxcov)
-    parts = _maximal_parts(balls[1], 0, 0b11111)
-    assert sorted(parts) == [0b00111, 0b10011, 0b11001]
+    _balls_by_radius(cycle.adj, 1, balls, maxcov)
+    # equal sizes in ascending bitmask order, whatever the set's iteration
+    # order
+    assert _maximal_parts(balls[1], 0, 0b11111) == [0b00111, 0b10011, 0b11001]
+
+
+def test_maximal_parts_order_is_fixed():
+    # random graphs with cycles, relabelled, and random uncovered sets: the
+    # parts are those no other part contains, largest first, ties in
+    # ascending bitmask order
+    rng = random.Random(27)
+    for _ in range(200):
+        g = relabel(random_connected_graph(rng.randint(3, 12), rng), rng)
+        balls = []
+        _balls_by_radius(g.adj, 2, balls, [])
+        for radius in (1, 2):
+            layer = balls[radius]
+            u = rng.randrange(g.n)
+            unc = rng.getrandbits(g.n) | 1 << u
+            parts = {layer[c] & unc for c in range(g.n) if layer[u] >> c & 1}
+            kept = [p for p in parts if not any(p & q == p != q for q in parts)]
+            expected = sorted(kept, key=lambda p: (-p.bit_count(), p))
+            assert _maximal_parts(layer, u, unc) == expected
+
+
+def test_top_bit_is_the_deepest_lowest_id_vertex():
+    # relabelled trees and graphs with cycles: in _deepest_first's numbering
+    # the top bit of any subset is its deepest vertex (BFS from 0), lowest
+    # input id among equals; adjacency, parents and balls are the input's,
+    # relabelled
+    rng = random.Random(28)
+    for i in range(300):
+        if i % 2:
+            g = relabel(random_tree_rng(rng.randint(1, 40), rng).graph, rng)
+        else:
+            g = relabel(random_connected_graph(rng.randint(1, 16), rng), rng)
+        pos, adj, ancestors = _deepest_first(g)
+        dist = g.distances_from(0)
+        order = sorted(range(g.n), key=pos.__getitem__)
+        assert sorted(pos) == list(range(g.n))
+        assert tuple(tuple(order[q] for q in adj[pos[v]]) for v in range(g.n)) == g.adj
+        balls = []
+        _balls_by_radius(adj, 2, balls, [])
+        for v in range(g.n):
+            far = g.distances_from(v)
+            for r, layer in enumerate(balls):
+                ball = sum(1 << pos[w] for w in range(g.n) if far[w] <= r)
+                assert layer[pos[v]] == ball
+        assert (ancestors is not None) == (g.m == g.n - 1)
+        if ancestors is not None:
+            assert ancestors[0] == list(range(g.n))
+            for v in range(1, g.n):
+                parent = order[ancestors[1][pos[v]]]
+                assert g.has_edge(v, parent) and dist[parent] == dist[v] - 1
+            assert ancestors[1][pos[0]] == pos[0] == 0
+        for _ in range(10):
+            subset = rng.sample(range(g.n), rng.randint(1, g.n))
+            mask = sum(1 << pos[v] for v in subset)
+            deepest = min(subset, key=lambda v: (-dist[v], v))
+            assert order[mask.bit_length() - 1] == deepest
 
 
 def _packing_tables(g, radius):
-    """_search_depth's levels and ancestors, grown to radius on a tree, and
-    ball layers to radius 2*radius."""
-    levels, ancestors = _rooted_levels(g)
+    """_deepest_first(g)'s positions and ancestors, grown to radius on a
+    tree, and ball layers to radius 2*radius, both by position and by
+    input id."""
+    pos, adj, ancestors = _deepest_first(g)
     while ancestors is not None and len(ancestors) <= radius:
         ancestors.append([ancestors[1][a] for a in ancestors[-1]])
-    balls = []
-    _balls_by_radius(g, 2 * radius, balls, [])
-    return levels, ancestors, balls
+    balls, input_balls = [], []
+    _balls_by_radius(adj, 2 * radius, balls, [])
+    _balls_by_radius(g.adj, 2 * radius, input_balls, [])
+    return pos, ancestors, balls, input_balls
+
+
+def _random_packing(g, radius, rng):
+    """_packing's picks on a random target set of input ids, both mapped
+    back to input ids, and the input-id ball layers."""
+    pos, ancestors, balls, input_balls = _packing_tables(g, radius)
+    target = rng.getrandbits(g.n)
+    by_pos = sum(1 << pos[v] for v in range(g.n) if target >> v & 1)
+    picked = _packing(by_pos, radius, g.n, ancestors, balls)
+    picks = sum(1 << v for v in range(g.n) if picked >> pos[v] & 1)
+    return picks, target, input_balls
 
 
 def _check_picks(picks, target, far):
@@ -317,7 +481,7 @@ def _check_picks(picks, target, far):
 def test_packing_is_the_minimum_cover_on_trees():
     # every tree up to 9 vertices, also relabelled, every radius: the
     # greedy's picks number exactly the fewest radius-R balls covering a
-    # random target set (Slater; Meir and Moon)
+    # random target set (Slater; Meir and Moon), counted on the input ids
     rng = random.Random(25)
     trees = [build_graph(1, [])]
     for n in range(2, 10):
@@ -325,10 +489,8 @@ def test_packing_is_the_minimum_cover_on_trees():
     for g in trees:
         for h in (g, relabel(g, rng)):
             for radius in range(h.n):
-                levels, ancestors, balls = _packing_tables(h, radius)
                 for _ in range(3):
-                    target = rng.getrandbits(h.n)
-                    picks = _packing(target, radius, h.n, levels, ancestors, balls)
+                    picks, target, balls = _random_packing(h, radius, rng)
                     assert picks.bit_count() == min_ball_cover(balls[radius], target)
                     _check_picks(picks, target, balls[2 * radius])
 
@@ -342,26 +504,29 @@ def test_packing_bounds_the_minimum_cover_with_cycles():
         if g.m == g.n - 1:
             continue
         for radius in range(g.n):
-            levels, ancestors, balls = _packing_tables(g, radius)
             for _ in range(2):
-                target = rng.getrandbits(g.n)
-                picks = _packing(target, radius, g.n, levels, ancestors, balls)
+                picks, target, balls = _random_packing(g, radius, rng)
                 assert picks.bit_count() <= min_ball_cover(balls[radius], target)
                 _check_picks(picks, target, balls[2 * radius])
 
 
 def test_exact_pinned_larger_instances():
     # the witnesses the solver gave before the packing bound, which took
-    # about 3 s together then
+    # about 3 s together then, and random_tree(300, 0)'s from the solver that
+    # scanned BFS levels for the deepest uncovered vertex
     pinned = [
         (random_tree(200, 0).graph, (9, (0, 85, 56, 47, 1, 70, 35, 68, 97))),
         (random_tree(200, 1).graph, (10, (0, 7, 4, 131, 109, 105, 22, 35, 142, 79))),
         (random_tree(200, 2).graph, (10, (0, 159, 190, 6, 34, 194, 46, 147, 55, 75))),
         (grid_graph(8, 8), (6, (0, 4, 50, 39, 62, 45))),
         (grid_graph(10, 10), (6, (13, 68, 70, 94, 9, 29))),
+        (
+            random_tree(300, 0).graph,
+            (11, (0, 31, 198, 23, 161, 81, 138, 189, 267, 252, 146)),
+        ),
     ]
     for g, (b, sources) in pinned:
-        k, witness = burning_number_exact(g, limit=200)
+        k, witness = burning_number_exact(g, limit=300)
         assert (k, witness.sources) == (b, sources)
 
 

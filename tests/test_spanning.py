@@ -21,7 +21,7 @@ from burnkit import (
     simulate,
     sqrt_ceil,
 )
-from burnkit.burning import _rooted_levels, _search_depth
+from burnkit.burning import _deepest_first, _search_depth
 from burnkit.errors import CertificationFailed, Disconnected, TooLarge, TooMany, TooSmall
 from burnkit.generators import path_graph, petersen_graph, spider_graph, star_graph
 from burnkit.spanning import HistResult
@@ -136,9 +136,9 @@ def test_search_depth_at_and_below_burning_number():
     graphs += [spider_graph([3, 3, 2]), petersen_graph(), grid_graph(3, 4)]
     for g in graphs:
         k, sched = burning_number_exact(g)
-        rooted = _rooted_levels(g)
-        assert _search_depth(g, k, (), [], [], *rooted) == sched.sources
-        assert _search_depth(g, k - 1, (), [], [], *rooted) is None
+        numbering = _deepest_first(g)
+        assert _search_depth(k, (), [], [], *numbering) == sched.sources
+        assert _search_depth(k - 1, (), [], [], *numbering) is None
 
 
 def test_subtree_lemma_equality_random():
