@@ -1,22 +1,20 @@
 """Deterministic graph families and seeded random trees/HITs.
 
-Random labeled trees are drawn uniformly by decoding a random Prufer word;
-random HITs come from augmenting a random tree with one leaf per degree-2
-vertex, re-drawing the base size and word until the augmented order hits the
-target.
+Random labeled trees are drawn uniformly by decoding a random Prufer word.
+Random HITs decode one random word too, after a rewrite: a symbol that
+occurs exactly once in the word is a degree-2 vertex, so those symbols are
+shuffled and paired, and the one occurrence of each pair's first symbol is
+rewritten to its second (see random_hit). Every labeled HIT can be drawn,
+but the distribution is not uniform over them.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import Counter
 
 from .errors import BadParams
 from .graph import MAX_VERTICES, Graph, Tree, build_graph, build_tree
-from .hit import augment_degree2
-
-MAX_HIT_DRAWS = 100_000
 
 
 def path_graph(n: int) -> Graph:
@@ -106,8 +104,19 @@ def _random_word(n: int, rng: random.Random) -> list[int]:
 
 
 def random_hit(n: int, seed: int) -> Tree:
-    """Random HIT on exactly n vertices: augment random base trees until the
-    augmented order equals n. No HIT on 3 vertices exists."""
+    """Random HIT on exactly n vertices, from one Prufer word. No HIT on 3
+    vertices exists.
+
+    A vertex's degree is one more than its count in the word, so the tree is
+    a HIT exactly when no symbol occurs once. The symbols that occur once,
+    in ascending order, are shuffled and paired; in each pair the first
+    one's only occurrence is rewritten to the second, which then occurs
+    twice (degree 3) while the first becomes a leaf. A singleton left over
+    is rewritten to the last pair's second symbol or, when it is the only
+    one, to the word's first repeated symbol, which exists for n >= 4. A
+    word with no singleton is kept as drawn, so every labeled HIT can be
+    drawn, but not uniformly.
+    """
     if n < 1 or n == 3:
         raise BadParams(f"no HIT on {n} vertices")
     if n == 1:
@@ -115,17 +124,20 @@ def random_hit(n: int, seed: int) -> Tree:
     if n == 2:
         return build_tree(2, [(0, 1)])
     rng = random.Random(seed)
-    lo = max(2, (n + 3) // 2)  # base m with m + d = n needs m >= (n + 2) / 2
-    for _ in range(MAX_HIT_DRAWS):
-        m = rng.randint(lo, n)
-        word = _random_word(m, rng)
-        # the degree-2 vertices of the decoded tree are the ids that appear
-        # exactly once in its Prufer word; decode only a draw that hits n
-        d = sum(1 for c in Counter(word).values() if c == 1)
-        if m + d == n:
-            augmented, _ = augment_degree2(prufer_decode(word, m))
-            return augmented
-    raise BadParams(f"could not hit target HIT size {n}")
+    word = _random_word(n, rng)
+    count = [0] * n
+    at = [0] * n  # a singleton's only position
+    for i, v in enumerate(word):
+        count[v] += 1
+        at[v] = i
+    singles = [v for v in range(n) if count[v] == 1]
+    rng.shuffle(singles)
+    if len(singles) % 2:
+        # the one left over pairs with a symbol that will occur twice or more
+        singles.append(singles[-2] if len(singles) > 1 else next(v for v in word if count[v] > 1))
+    for a, b in zip(singles[::2], singles[1::2]):
+        word[at[a]] = b
+    return prufer_decode(word, n)
 
 
 def _int_param(value) -> int:

@@ -4,27 +4,11 @@ The paper's induction for a HIT: an anchor search locates a vertex x all of
 whose neighbor-side components are small except the one across an edge xy;
 x burns first, and y's side is planned next, with y smoothed away when it
 drops to degree 2 and the schedule lifted back with y preburned.
-_plan runs that induction as a descent loop and an ascent loop over
-one mutable adjacency on the input's vertex ids, cutting, smoothing and then
-undoing, with no Tree built below the input and no recursion. x's side
-meets y's side only through xy, so it is burned once, from x on the way
-down, and that burn tags it as one piece of the input; the base is one more.
-When y was smoothed, the lift lemma says y's side with y preburned still
-burns within the schedule below; the ascent checks it by burning again only
-the piece that y rejoins, and bounds the rest of y's side by the last rounds
-its pieces already burned in, a bound never below the exact burn of y's side.
-The input is rooted once, and re-rooted at the first anchor along the one
-path from it to the root; the descent keeps the parents and subtree sizes of
-that rooting valid as it cuts and smooths, so no level is re-rooted or
-re-scanned: the anchor walk reads its side sizes from them, and a level's
-HIT check looks only at the vertices whose adjacency the step changed.
-What a level removes lies ahead of every step of its walk before y's
-predecessor, so each walk resumes from the last one's steps that still
-hold: it pops a step whose forward side fell below the level's threshold,
-or past which a lower neighbour's side now reaches it. The descent cuts
-and smooths in place and the ascent undoes each change at the same index,
-so it rebuilds the input's adjacency lists exactly, and one compare checks
-that it did.
+_plan runs that induction as a descent loop and an ascent loop over one
+mutable adjacency on the input's vertex ids, with no Tree built below the
+input and no recursion; its docstring is the full account of the pieces and
+the lift check, the one rooting it keeps, the anchor walk it resumes and
+the exact rebuild of the input.
 hit_schedule, tree_schedule_via_augmentation and spanning.hist_bound each
 run _plan once and check the plan they return by one simulation on the graph
 they were asked about, so the guarantee is an executable contract rather

@@ -19,7 +19,6 @@ from burnkit import (
     BurningSchedule,
     Graph,
     Tree,
-    augment_degree2,
     build_graph,
     build_tree,
     burning_number_exact,
@@ -128,18 +127,31 @@ def random_hit_rng(n: int, rng: random.Random) -> Tree:
 
 
 def reference_random_hit(n: int, seed: int) -> Tree:
-    """random_hit as first written: decode and augment every draw (n >= 4),
-    keeping the first whose augmented order is n."""
-    from burnkit.generators import MAX_HIT_DRAWS, _random_tree
+    """random_hit from its definition (n >= 4): draw one Prufer word, shuffle
+    the symbols that occur once and pair them, rewrite each pair's first to
+    its second, and a singleton left over to the last pair's second or, if
+    it is the only one, to the word's first repeated symbol."""
+    from burnkit.generators import prufer_decode
 
     rng = random.Random(seed)
-    lo = max(2, (n + 3) // 2)
-    for _ in range(MAX_HIT_DRAWS):
-        m = rng.randint(lo, n)
-        augmented, _ = augment_degree2(_random_tree(m, rng))
-        if augmented.n == n:
-            return augmented
-    raise AssertionError(f"no HIT on {n} vertices within the draw limit")
+    word = [rng.randrange(n) for _ in range(n - 2)]
+    counts: dict[int, int] = {}
+    for v in word:
+        counts[v] = counts.get(v, 0) + 1
+    singles = sorted(v for v, c in counts.items() if c == 1)
+    rng.shuffle(singles)
+    pairs = [(singles[i], singles[i + 1]) for i in range(0, len(singles) - 1, 2)]
+    for a, b in pairs:
+        word[word.index(a)] = b
+    if len(singles) % 2:
+        last = singles[-1]
+        if pairs:
+            target = pairs[-1][1]
+        else:
+            target = next(v for v in word if counts[v] >= 2)
+        word[word.index(last)] = target
+    assert all(word.count(v) != 1 for v in range(n))
+    return prufer_decode(word, n)
 
 
 def reference_spanning_min(g: Graph) -> tuple[int, Tree, BurningSchedule]:

@@ -11,7 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import burnkit
 import burnkit.cli
-from burnkit import BurningSchedule, build_graph, is_complete, simulate
+from burnkit import (
+    BurningSchedule,
+    build_graph,
+    build_tree,
+    is_complete,
+    is_hit,
+    parse_edge_list,
+    simulate,
+)
 from burnkit.cli import _build_parser, main
 from burnkit.errors import CertificationFailed
 from burnkit.graph import MAX_VERTICES, format_edge_list
@@ -210,6 +218,13 @@ def test_gen_path(capsys):
     code, out = run(capsys, "gen", "path", "-n", "4")
     assert code == 0
     assert out == "4 3\n0 1\n1 2\n2 3\n"
+
+
+def test_gen_random_hit_at_scale(tmp_path):
+    out = tmp_path / "hit.el"
+    code = main(["gen", "random_hit", "-n", "100000", "--seed", "1", "-o", str(out)])
+    g = parse_edge_list(out.read_text())
+    assert code == 0 and g.n == 100000 and is_hit(build_tree(g.n, g.edges()))
 
 
 def test_verify_pass_and_fail(capsys, tmp_path, p4_file):

@@ -56,7 +56,8 @@ def test_random_tree_deterministic():
 
 def test_random_word_is_randrange():
     # the inlined draw gives randrange's words and leaves the generator in
-    # the same state, so random_tree and random_hit are unchanged
+    # the same state, so random_tree's trees and random_hit's words are
+    # randrange's
     for n in range(1, 301):
         for seed in range(4):
             fast, ref = random.Random(seed), random.Random(seed)
@@ -75,18 +76,36 @@ def test_generator_output_byte_deterministic():
         )
 
 
-def test_random_hit_matches_decode_then_augment():
+def test_random_hit_matches_reference():
     for n in (4, 5, 6, 7, 10, 16, 33, 60, 150):
         for seed in range(4):
             assert random_hit(n, seed) == reference_random_hit(n, seed)
 
 
+def test_random_hit_keeps_a_word_with_no_singleton():
+    kept = 0
+    for n in range(4, 9):
+        for seed in range(200):
+            word = _random_word(n, random.Random(seed))
+            if all(word.count(v) != 1 for v in word):
+                assert random_hit(n, seed) == prufer_decode(word, n)
+                kept += 1
+    assert kept >= 20
+
+
 def test_random_hit_sizes_and_rejects_three():
-    for n in (1, 2, 4, 5, 6, 17, 40):
-        t = random_hit(n, seed=n)
-        assert t.n == n and is_hit(t)
-    with pytest.raises(BadParams):
-        random_hit(3, seed=0)
+    for n in range(1, 301):
+        if n == 3:
+            continue
+        for seed in range(3):
+            t = random_hit(n, seed)
+            assert t.n == n and is_hit(t)
+            assert random_hit(n, seed) == t
+    t = random_hit(10**5, 1)
+    assert t.n == 10**5 and is_hit(t)
+    for n in (0, 3, -1):
+        with pytest.raises(BadParams):
+            random_hit(n, seed=0)
 
 
 def test_spider_shape():

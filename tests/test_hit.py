@@ -490,6 +490,10 @@ def test_large_plans_are_pinned():
 def criterion_3_hits():
     """The HITs that test_criterion_3_hit_plans plans."""
     yield from enumerate_hits(16)
+    yield from criterion_3_random_hits()
+
+
+def criterion_3_random_hits():
     rng = random.Random(2024)
     for _ in range(500):
         yield random_hit(rng.randint(4, 500), seed=rng.randrange(2**31))
@@ -513,9 +517,17 @@ def test_piece_bound_lies_between_the_whole_side_burn_and_the_schedule(monkeypat
     monkeypatch.setattr(burnkit.hit, "_lift", checked_lift)
     for t in relabelled_trees():
         tree_schedule_via_augmentation(t)
-    for t in [*relabelled_hits(83), *criterion_3_hits()]:
+    for t in [*relabelled_hits(83), *enumerate_hits(16)]:
         hit_schedule(t)
+    before, padded = len(lifts), 0
+    for t in criterion_3_random_hits():
+        sources = hit_schedule(t).schedule.sources
+        padded += len(set(sources)) < len(sources)
     assert len(lifts) > 1000
+    # the generator's HITs must keep planning smoothings and pads, so that a
+    # sparser generator cannot thin what the criterion-3 corpus checks; a
+    # pad repeats an anchor, so a padded plan repeats a source
+    assert len(lifts) - before >= 3000 and padded >= 400
 
 
 def test_hit_schedule_makes_no_recursive_call():
