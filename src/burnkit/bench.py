@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .burning import burning_number_exact
-from .errors import BurnkitError, MalformedSpec, certify
+from .errors import BurnkitError, InternalError, MalformedSpec, certify
 from .generators import generate
 from .graph import Graph, Tree
 from .hit import sqrt_ceil, tree_schedule_via_augmentation
@@ -106,7 +106,9 @@ def bench_instance(
     params: dict,
     exact_limit: int = DEFAULT_BENCH_EXACT_LIMIT,
 ) -> BenchRecord:
-    """Run one instance; solver errors are recorded, not raised."""
+    """Run one instance; input errors from the planner and the solver are
+    recorded, not raised. An InternalError, a result that failed burnkit's
+    own check, propagates."""
     g = generate(family, params)
     n = g.n
     d = degree2_count(g)
@@ -133,6 +135,8 @@ def bench_instance(
             t0 = time.perf_counter()
             record.exact_b = burning_number_exact(g, limit=exact_limit)[0]
             record.exact_seconds = time.perf_counter() - t0
+    except InternalError:
+        raise
     except BurnkitError as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     record.check_invariants()

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import traceback
 
@@ -22,23 +21,26 @@ from .burning import (
     schedule_from_json_dict,
     simulate,
 )
-from .errors import BurnkitError, InternalError, MalformedPlan, MalformedSpec
+from .errors import (
+    BurnkitError,
+    InternalError,
+    MalformedEdge,
+    MalformedPlan,
+    MalformedSpec,
+)
 from .generators import generate
 from .graph import Graph, Tree, format_edge_list, parse_edge_list
 from .hit import hit_schedule, tree_schedule_via_augmentation
-from .spanning import (
-    DEFAULT_HIST_LIMIT,
-    DEFAULT_TREE_LIMIT,
-    burning_number_via_spanning_trees,
-    find_hist,
-)
-
-ENV_SEED = "BURNKIT_SEED"
+from .spanning import DEFAULT_HIST_LIMIT, burning_number_via_spanning_trees, find_hist
 
 
 def _load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedEdge(f"edge list is not UTF-8 text: {exc}") from exc
+    return parse_edge_list(text)
 
 
 def _parse_ids(text: str) -> tuple[int, ...]:
@@ -82,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph")
     p.add_argument("--limit-exact", type=int, default=DEFAULT_EXACT_LIMIT)
-    p.add_argument("--limit-trees", type=int, default=DEFAULT_TREE_LIMIT)
 
     p = sub.add_parser("gen", help="generate a graph family as an edge list")
     p.add_argument("family")
@@ -144,9 +145,7 @@ def _cmd_hist(args) -> int:
 
 def _cmd_spanning_min(args) -> int:
     g = _load_graph(args.graph)
-    k, tree, sched = burning_number_via_spanning_trees(
-        g, tree_limit=args.limit_trees, exact_limit=args.limit_exact
-    )
+    k, tree, sched = burning_number_via_spanning_trees(g, exact_limit=args.limit_exact)
     print(
         json.dumps(
             {
@@ -165,11 +164,8 @@ def _cmd_gen(args) -> int:
         params["n"] = args.n
     if args.legs is not None:
         params["legs"] = list(_parse_ids(args.legs))
-    seed = args.seed
-    if seed is None and ENV_SEED in os.environ:
-        seed = int(os.environ[ENV_SEED])
-    if seed is not None:
-        params["seed"] = seed
+    if args.seed is not None:
+        params["seed"] = args.seed
     g = generate(args.family, params)
     text = format_edge_list(g)
     if args.output:
@@ -187,6 +183,8 @@ def _cmd_verify(args) -> int:
             plan = json.load(fh)
         except RecursionError as exc:
             raise MalformedPlan("plan JSON is nested too deeply") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise MalformedPlan(f"plan is not JSON: {exc}") from exc
     sched = schedule_from_json_dict(plan)
     bm = simulate(g, sched)
     ok = is_complete(bm)
@@ -205,6 +203,8 @@ def _cmd_bench(args) -> int:
             spec = json.load(fh)
         except RecursionError as exc:
             raise MalformedSpec("spec JSON is nested too deeply") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise MalformedSpec(f"spec is not JSON: {exc}") from exc
     records = run_bench(spec, exact_limit=args.limit_exact)
     csv_text = records_to_csv(records)
     if args.output:
@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BurnkitError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (BurnkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InternalError) else 2
     except Exception as exc:

@@ -43,7 +43,7 @@ class TooLarge(BurnkitError):
 
 
 class TooMany(BurnkitError):
-    """Spanning-tree count exceeds the configured enumeration limit."""
+    """The spanning-tree enumeration reached one tree more than its limit."""
 
 
 class TooSmall(BurnkitError):

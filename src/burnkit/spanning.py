@@ -1,11 +1,11 @@
 """Bridges from trees to general graphs.
 
 One include/exclude search over the sorted edge list serves both routes.
-Run with nothing forbidden, it enumerates every spanning tree, after an
-exact matrix-tree count has checked their number, for the
-min-over-spanning-trees burning number. Run with final degrees 0 and 2
-forbidden, its first HIT is a homeomorphically irreducible spanning tree
-(HIST), which gives a ceil(sqrt(n)) plan.
+Run with nothing forbidden, it enumerates the spanning trees, counting the
+trees it builds against a limit, for the min-over-spanning-trees burning
+number. Run with final degrees 0 and 2 forbidden, its first HIT is a
+homeomorphically irreducible spanning tree (HIST), which gives a
+ceil(sqrt(n)) plan.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ def _spans(n: int, edges: list[tuple[int, int]]) -> bool:
 _VISIT, _EXCLUDE, _FINISH = range(3)
 
 
-def _search(state: tuple) -> Iterator[Tree]:
-    """Every spanning tree made of some of the sorted edges, in include-first
-    order, skipping each branch that decides a vertex's last edge and leaves
-    it at a forbidden final degree. state is (edges, dsu, deg, undecided,
-    forbidden, nodes): dsu joins the chosen edges, deg and undecided count
-    each vertex's chosen and undecided edges, nodes[0] the nodes visited.
+def _search(g: Graph, forbidden: tuple[int, ...], nodes: list[int]) -> Iterator[Tree]:
+    """Every spanning tree of g made of some of its sorted edges, in
+    include-first order, skipping each branch that decides a vertex's last
+    edge and leaves it at a degree in forbidden. A DSU joins the chosen
+    edges, deg and undecided count each vertex's chosen and undecided
+    edges, and nodes[0] counts the nodes visited.
 
     The include/exclude recursion runs on an explicit stack of (action, i,
     arg) steps, so a deep search does not reach Python's recursion limit.
@@ -117,8 +117,9 @@ def _search(state: tuple) -> Iterator[Tree]:
     the rest of its node: undo the inclusion, if any (arg: the root the
     union moved), and try the exclusion, then restore its undecided counts.
     """
-    edges, dsu, deg, undecided, forbidden, nodes = state
-    n = len(deg)
+    n, edges, dsu = g.n, g.edges(), _DSU(g.n)
+    deg = [0] * n
+    undecided = [g.degree(v) for v in range(n)]
     chosen: list[tuple[int, int]] = []
     stack = [(_VISIT, 0, False)]
     while stack:
@@ -166,33 +167,24 @@ def _search(state: tuple) -> Iterator[Tree]:
             undecided[v] += 1
 
 
-def _spanning_trees(
-    g: Graph, forbidden: tuple[int, ...], nodes: list[int]
-) -> Iterator[Tree]:
-    """The include/exclude search over g's sorted edge list, with no vertex
-    left at a degree in forbidden; nodes[0] counts its nodes."""
-    undecided = [g.degree(v) for v in range(g.n)]
-    state = (g.edges(), _DSU(g.n), [0] * g.n, undecided, forbidden, nodes)
-    return _search(state)
-
-
 def enumerate_spanning_trees(
     g: Graph, limit: int = DEFAULT_TREE_LIMIT
 ) -> Iterator[Tree]:
     """Yield every spanning tree exactly once, in the deterministic order of
-    include-first recursion over the canonical (sorted) edge list."""
+    include-first recursion over the canonical (sorted) edge list. The
+    search is its own bound: it yields at most limit trees and raises
+    TooMany when it reaches tree limit + 1, so a limit <= 0 raises before
+    the first tree."""
     if not g.is_connected():
         raise Disconnected("spanning trees require a connected graph")
-    count = matrix_tree_count(g)
-    if count > limit:
-        raise TooMany(f"{count} spanning trees exceed limit {limit}")
-    yield from _spanning_trees(g, (), [0])
+    for count, tree in enumerate(_search(g, (), [0])):
+        if count >= limit:
+            raise TooMany(f"more than {limit} spanning trees, the enumeration limit")
+        yield tree
 
 
 def burning_number_via_spanning_trees(
-    g: Graph,
-    tree_limit: int = DEFAULT_TREE_LIMIT,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
+    g: Graph, *, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> tuple[int, Tree, BurningSchedule]:
     """min over spanning trees T of b(T); equals b(g).
 
@@ -200,12 +192,15 @@ def burning_number_via_spanning_trees(
     only at depth b(g), and stops at the first that burns in b(g) rounds.
     Since b(T) >= b(g) for every spanning tree T and some T attains b(g),
     that is the first enumerated tree attaining the minimum; the witness is
-    its lexicographically smallest optimal schedule.
+    its lexicographically smallest optimal schedule. At most
+    DEFAULT_TREE_LIMIT trees are tested, and TooMany is raised past them, so
+    a graph with more spanning trees is answered when an early tree attains
+    b(g).
     """
     # the exact solver's guards (TooLarge, TooSmall, Disconnected) come
-    # before the enumeration's TooMany and before any tree is built
+    # before any tree is built
     target, _ = burning_number_exact(g, limit=exact_limit)
-    for tree in enumerate_spanning_trees(g, limit=tree_limit):
+    for tree in enumerate_spanning_trees(g):
         witness = _search_depth(target, (), [], [], *_deepest_first(tree.graph))
         if witness is not None:
             sched = BurningSchedule(sources=witness)
@@ -242,7 +237,7 @@ def find_hist(g: Graph, limit: int = DEFAULT_HIST_LIMIT) -> HistResult:
     if not g.is_connected():
         raise Disconnected("HIST search requires a connected graph")
     nodes = [0]
-    tree = next((t for t in _spanning_trees(g, (0, 2), nodes) if is_hit(t)), None)
+    tree = next((t for t in _search(g, (0, 2), nodes) if is_hit(t)), None)
     return HistResult(tree=tree, nodes_expanded=nodes[0])
 
 

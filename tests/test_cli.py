@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import burnkit
+import burnkit.bench
 import burnkit.cli
 from burnkit import (
     BurningSchedule,
@@ -17,6 +18,7 @@ from burnkit import (
     build_tree,
     is_complete,
     is_hit,
+    matrix_tree_count,
     parse_edge_list,
     simulate,
 )
@@ -146,6 +148,24 @@ def test_spanning_min_on_a_large_path_is_an_input_error(capsys, tmp_path):
     assert captured.err == "error: n=1100 exceeds exact-solver limit 64\n"
 
 
+def test_spanning_min_answers_past_a_million_trees(capsys, tmp_path):
+    # the bound counts the trees tested, and the first tree of this wheel
+    # burns in b = 2 rounds
+    wheel = wheel_graph(15)
+    assert matrix_tree_count(wheel) > 10**6
+    path = tmp_path / "w15.el"
+    path.write_text(format_edge_list(wheel))
+    code, out = run(capsys, "spanning-min", str(path))
+    assert code == 0 and json.loads(out)["k"] == 2
+
+
+def test_spanning_min_has_no_tree_limit_option(capsys, p4_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["spanning-min", p4_file, "--limit-trees", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --limit-trees 5" in capsys.readouterr().err
+
+
 def test_gen_rejects_graphs_above_the_vertex_cap(capsys, tmp_path):
     over = str(MAX_VERTICES + 1)
     for argv in (
@@ -207,11 +227,14 @@ def test_reused_parser_matches_a_fresh_one(capsys, p4_file):
 
 
 def test_gen_and_env_seed(capsys, monkeypatch):
-    code, out1 = run(capsys, "gen", "random_tree", "-n", "12", "--seed", "4")
-    assert code == 0
+    # --seed is the one way to seed a random family; the environment is not read
     monkeypatch.setenv("BURNKIT_SEED", "4")
-    code, out2 = run(capsys, "gen", "random_tree", "-n", "12")
-    assert code == 0 and out1 == out2
+    code = main(["gen", "random_tree", "-n", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: family 'random_tree' missing parameter 'seed'\n"
+    code, out = run(capsys, "gen", "random_tree", "-n", "5", "--seed", "4")
+    assert code == 0 and parse_edge_list(out).n == 5
 
 
 def test_gen_path(capsys):
@@ -346,15 +369,47 @@ def test_internal_failure_exits_three(capsys, monkeypatch, hit8_file):
 
 
 def test_crash_exits_three_with_traceback(capsys, monkeypatch, hit8_file):
-    def crashing(tree):
-        raise TypeError("unsupported operand")
+    # a ValueError inside a command is a crash too, not an input error
+    for error in (TypeError, ValueError):
 
-    monkeypatch.setattr(burnkit.cli, "hit_schedule", crashing)
-    code = main(["hit-plan", hit8_file])
+        def crashing(tree):
+            raise error("unsupported operand")
+
+        monkeypatch.setattr(burnkit.cli, "hit_schedule", crashing)
+        code = main(["hit-plan", hit8_file])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert captured.err.endswith(
+            f"internal error: {error.__name__}: unsupported operand\n"
+        )
+
+
+def test_internal_failure_in_bench_exits_three(capsys, monkeypatch, tmp_path):
+    def broken(tree):
+        raise CertificationFailed("construction must burn the whole tree")
+
+    monkeypatch.setattr(burnkit.bench, "tree_schedule_via_augmentation", broken)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"families": [{"family": "path", "sizes": [9]}]}))
+    code = main(["bench", str(spec)])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.startswith("Traceback (most recent call last):")
-    assert captured.err.endswith("internal error: TypeError: unsupported operand\n")
+    assert captured.err == "error: construction must burn the whole tree\n"
+
+
+def test_non_utf8_input_is_an_input_error(capsys, tmp_path, p4_file):
+    latin1 = tmp_path / "latin1"
+    latin1.write_bytes(b"4 3\n0 1\n1 2\n2 3\n# caf\xe9\n")
+    for argv, what in (
+        (["solve", str(latin1)], "edge list is not UTF-8 text"),
+        (["verify", p4_file, str(latin1)], "plan is not JSON"),
+        (["bench", str(latin1)], "spec is not JSON"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith(f"error: {what}: 'utf-8' codec can't decode")
 
 
 @st.composite

@@ -141,7 +141,8 @@ def test_bench_instance_record():
 
 def test_bench_instance_records_solver_error():
     record = bench_instance("pet", "petersen", {}, exact_limit=16)
-    assert record.error != ""  # not a tree, planner refuses
+    # not a tree: an input error, recorded in the row
+    assert record.error == "NotATree: tree needs m = n-1, got n=10 m=15"
 
 
 def test_run_bench_and_csv():

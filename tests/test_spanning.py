@@ -68,8 +68,19 @@ def test_enumeration_count_matches_determinant():
 
 
 def test_enumeration_guards():
-    with pytest.raises(TooMany):
-        list(enumerate_spanning_trees(petersen_graph(), limit=1999))
+    # the search is its own bound: limit trees, then TooMany at tree limit + 1
+    g = petersen_graph()
+    everything = [t.graph for t in enumerate_spanning_trees(g)]
+    assert len(everything) == 2000
+    yielded = []
+    with pytest.raises(TooMany, match="more than 1999 spanning trees"):
+        for tree in enumerate_spanning_trees(g, limit=1999):
+            yielded.append(tree.graph)
+    assert yielded == everything[:1999]
+    assert [t.graph for t in enumerate_spanning_trees(g, limit=2000)] == everything
+    for limit in (0, -1):
+        with pytest.raises(TooMany):
+            next(enumerate_spanning_trees(g, limit=limit))
     with pytest.raises(Disconnected):
         list(enumerate_spanning_trees(build_graph(3, [(0, 1)])))
 
@@ -110,23 +121,55 @@ def test_spanning_min_matches_full_enumeration():
 
 def test_spanning_min_guard_order(monkeypatch):
     # the exact solver's guards (TooLarge, TooSmall, Disconnected) come
-    # first, then the enumeration's TooMany, before any tree is tested
-    def no_tree_tested(*args):
-        raise AssertionError("a spanning tree was tested")
+    # before any spanning tree is built, counted or tested
+    def never(*args):
+        raise AssertionError("a spanning tree was built, counted or tested")
 
-    monkeypatch.setattr("burnkit.spanning._search_depth", no_tree_tested)
+    for name in ("_search_depth", "matrix_tree_count", "build_tree"):
+        monkeypatch.setattr(f"burnkit.spanning.{name}", never)
     with pytest.raises(TooLarge, match="n=10 exceeds exact-solver limit 9"):
-        burning_number_via_spanning_trees(
-            petersen_graph(), tree_limit=1999, exact_limit=9
-        )
+        burning_number_via_spanning_trees(petersen_graph(), exact_limit=9)
     with pytest.raises(TooLarge, match="n=3 exceeds exact-solver limit 2"):
         burning_number_via_spanning_trees(build_graph(3, [(0, 1)]), exact_limit=2)
     with pytest.raises(TooSmall):
-        burning_number_via_spanning_trees(build_graph(0, []), tree_limit=-1)
+        burning_number_via_spanning_trees(build_graph(0, []))
     with pytest.raises(Disconnected):
-        burning_number_via_spanning_trees(build_graph(3, [(0, 1)]), tree_limit=0)
-    with pytest.raises(TooMany):
-        burning_number_via_spanning_trees(petersen_graph(), tree_limit=1999)
+        burning_number_via_spanning_trees(build_graph(3, [(0, 1)]))
+
+
+def test_spanning_searches_never_count_trees(monkeypatch):
+    # the enumeration, spanning-min and the HIST search give the frozen
+    # references' results without the matrix-tree count
+    graphs = [petersen_graph(), grid_graph(3, 3), grid_graph(3, 4)]
+    graphs += [wheel_graph(rim) for rim in range(3, 10)]
+    expected = []
+    for g in graphs:
+        trees = [t.graph for t in reference_spanning_trees(g)]
+        b = burning_number_exact(g)[0]
+        first = next(t for t in trees if burning_number_exact(t)[0] == b)
+        minimum = (b, first, burning_number_exact(first)[1])
+        expected.append((trees, minimum, reference_find_hist(g)))
+
+    def never(g):
+        raise AssertionError("matrix_tree_count was called")
+
+    monkeypatch.setattr("burnkit.spanning.matrix_tree_count", never)
+    for g, (trees, minimum, (hist, nodes)) in zip(graphs, expected):
+        assert [t.graph for t in enumerate_spanning_trees(g)] == trees
+        k, tree, sched = burning_number_via_spanning_trees(g)
+        assert (k, tree.graph, sched) == minimum
+        result = find_hist(g)
+        assert result.nodes_expanded == nodes
+        assert (result.tree is None) == (hist is None)
+        if hist is not None:
+            assert result.tree.graph == hist.graph
+
+
+def test_spanning_min_on_a_long_path():
+    # the path is its own spanning tree; no tree count runs before it
+    g = path_graph(1100)
+    k, tree, sched = burning_number_via_spanning_trees(g, exact_limit=2000)
+    assert k == 34 == len(sched) and tree.graph == g
 
 
 def test_search_depth_at_and_below_burning_number():
